@@ -10,7 +10,7 @@ by simulation.
 from .certificates import (Certificate, certify, certify_initial_condition,
                            certify_n2, certify_n3_closedform)
 from .chains import (ChainSystem, Exosystem, MimoChain, NonlinearPlant,
-                     assemble_mimo, make_chain, split_state)
+                     assemble_mimo, chain_plant, make_chain, split_state)
 from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
                      InvalidOrder, InvalidPoleSet, NonFiniteState,
                      NoRegulatorSolution, NosregError, SearchExhausted,
@@ -23,7 +23,7 @@ from .polesearch import SearchSpec, search
 from .regulation import (RegulatorGains, SubsystemGains, nominal_ic,
                          solve_sylvester, synthesize)
 from .sim import (OvershootReport, SimConfig, Trajectory, detect_overshoot,
-                  rk4_step, simulate_linear, simulate_nonlinear, write_csv)
+                  rk4_step, simulate_nonlinear, write_csv)
 
 __version__ = "0.1.0"
 
@@ -36,9 +36,8 @@ __all__ = [
     "SearchSpec", "SimConfig", "SingularMatrix", "SubsystemGains",
     "Trajectory", "assemble_mimo", "benchmark_plant", "certify",
     "certify_initial_condition", "certify_n2", "certify_n3_closedform",
-    "detect_overshoot", "kron", "lu_solve", "make_chain", "modal_coeffs",
-    "moore_feedback", "natural_response", "nominal_ic", "rk4_step",
-    "rosenbrock_closed_form", "search", "simulate_linear",
-    "simulate_nonlinear", "solve_sylvester", "split_state", "synthesize",
-    "write_csv",
+    "chain_plant", "detect_overshoot", "kron", "lu_solve", "make_chain",
+    "modal_coeffs", "moore_feedback", "natural_response", "nominal_ic",
+    "rk4_step", "rosenbrock_closed_form", "search", "simulate_nonlinear",
+    "solve_sylvester", "split_state", "synthesize", "write_csv",
 ]

@@ -71,9 +71,6 @@ def certify(decomp: ModalDecomposition) -> Certificate:
     zero transient (alpha identically zero) and n = 1.
     """
     alpha = decomp.alpha
-    if alpha.size == 1:
-        return Certificate(alpha=alpha, c=(), p_value=abs(float(alpha[0])),
-                           passed=True)
     c, p = _score(alpha)
     zero = not np.any(alpha)
     return Certificate(alpha=alpha, c=tuple(int(k) for k in c), p_value=p,

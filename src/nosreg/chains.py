@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,6 +141,39 @@ def assemble_mimo(degrees: Sequence[int]) -> MimoChain:
         Cc[j, at:at + g] = b.C[0]
         at += g
     return MimoChain(degrees=tuple(int(g) for g in degrees), Ac=Ac, Bc=Bc, Cc=Cc)
+
+
+def chain_plant(degrees: Sequence[int]) -> NonlinearPlant:
+    """The decoupled integrator chain as a plant: identity chain map, ``u = v``.
+
+    Each block shifts (``x_i' = x_{i+1}``) with ``u_j`` driving its last
+    state, and outputs its first state, so the linear normal form runs
+    through the same simulator as any feedback-linearizable plant.
+    """
+    degrees = assemble_mimo(degrees).degrees
+    ends = tuple(accumulate(degrees))
+    lasts = tuple(e - 1 for e in ends)
+    heads = tuple(e - g for e, g in zip(ends, degrees))
+
+    def dynamics(x, u):
+        dx = list(x[1:])
+        dx.append(0.0)
+        for last, uj in zip(lasts, u):
+            dx[last] = uj
+        return dx
+
+    def output(x):
+        return tuple(x[h] for h in heads)
+
+    def identity(x):
+        return x
+
+    def feedback(x, v):
+        return v
+
+    return NonlinearPlant(state_dim=ends[-1], input_dim=len(degrees), degrees=degrees,
+                          dynamics=dynamics, output=output, normal_map=identity,
+                          linearizing_feedback=feedback)
 
 
 def split_state(xi, degrees: Sequence[int]) -> tuple[np.ndarray, ...]:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import Exosystem, NonlinearPlant, assemble_mimo, split_state
+from .chains import (Exosystem, NonlinearPlant, assemble_mimo, chain_plant,
+                     split_state)
 from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
                      InvalidOrder, InvalidPoleSet, NonFiniteState,
                      NoRegulatorSolution, SearchExhausted, SingularMatrix)
@@ -24,8 +25,8 @@ from .linalg import as_vector
 from .modal import DEFAULT_SEP_MIN, PoleSet
 from .plants import BUILTIN_PLANTS
 from .polesearch import DEFAULT_MAX_TRIALS, SearchSpec, search
-from .regulation import solve_sylvester, synthesize
-from .sim import SimConfig, simulate_linear, simulate_nonlinear, write_csv
+from .regulation import nominal_ic, solve_sylvester, synthesize
+from .sim import SimConfig, simulate_nonlinear, write_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,9 +44,9 @@ class ProblemConfig:
 
     degrees: tuple[int, ...]
     exo: Exosystem
-    plant: NonlinearPlant | None
+    plant: NonlinearPlant
     plant_name: str | None
-    x0: np.ndarray | None
+    x0: np.ndarray
     xi0: np.ndarray
     pole_sets: tuple[PoleSet, ...] | None
     intervals: tuple[tuple[tuple[float, float], ...], ...] | None
@@ -100,7 +101,7 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError(f"exosystem.H has {exo.num_outputs} rows, expected {p}")
 
     init = _field(raw, "initial", "")
-    plant = plant_name = x0 = None
+    plant_name = None
     if "plant" in init:
         plant_name = init["plant"]
         if plant_name not in BUILTIN_PLANTS:
@@ -113,7 +114,9 @@ def load_config(path) -> ProblemConfig:
         x0 = as_vector(_field(init, "x0", "initial."), length=plant.state_dim)
         xi0 = as_vector(plant.normal_map(x0), length=gamma)
     elif "xi0" in init:
-        xi0 = as_vector(init["xi0"], length=gamma)
+        # the normal form itself is the plant: identity chain map, u = v
+        plant = chain_plant(degrees)
+        x0 = xi0 = as_vector(init["xi0"], length=gamma)
     else:
         raise ConfigError("'initial' needs either 'xi0' or 'plant' + 'x0'")
 
@@ -148,10 +151,11 @@ def load_config(path) -> ProblemConfig:
 
     srch = raw.get("search", {})
     simc = raw.get("sim", {})
-    cfg = SimConfig(step=float(simc.get("step", 1e-3)),
-                    horizon=float(simc.get("horizon", 40.0)),
-                    record_stride=int(simc.get("record_stride", 10)),
-                    zero_band=float(simc.get("zero_band", 1e-9)))
+    defaults = SimConfig()
+    cfg = SimConfig(step=float(simc.get("step", defaults.step)),
+                    horizon=float(simc.get("horizon", defaults.horizon)),
+                    record_stride=int(simc.get("record_stride", defaults.record_stride)),
+                    zero_band=float(simc.get("zero_band", defaults.zero_band)))
     return ProblemConfig(
         degrees=degrees, exo=exo, plant=plant, plant_name=plant_name,
         x0=x0, xi0=xi0, pole_sets=pole_sets, intervals=intervals,
@@ -252,7 +256,7 @@ def cmd_search(config_path, out_path, seed: int | None = None) -> int:
     found, trials = [], []
     for j, chain in enumerate(mimo.blocks):
         Pi_j, _ = solve_sylvester(chain, cfg.exo, cfg.exo.H[j:j + 1])
-        xt0_j = xi_blocks[j] - Pi_j @ cfg.exo.w0
+        xt0_j = nominal_ic(xi_blocks[j], Pi_j, cfg.exo.w0)
         spec = SearchSpec(intervals=cfg.intervals[j], max_trials=cfg.max_trials,
                           seed=base_seed + j, sep_min=cfg.sep_min)
         poles, cert, used = search(spec, xt0_j)
@@ -296,11 +300,7 @@ def cmd_simulate(config_path, gains_path, csv_path, plot_path) -> int:
     """Simulate the closed loop under a gains file; write CSV and a gnuplot script."""
     cfg = load_config(config_path)
     gains = load_gains(gains_path, cfg)
-    if cfg.plant is not None:
-        traj, report = simulate_nonlinear(cfg.plant, cfg.exo, gains, cfg.x0, cfg.sim)
-    else:
-        mimo = assemble_mimo(cfg.degrees)
-        traj, report = simulate_linear(mimo, cfg.exo, gains, cfg.xi0, cfg.sim)
+    traj, report = simulate_nonlinear(cfg.plant, cfg.exo, gains, cfg.x0, cfg.sim)
     write_csv(traj, csv_path)
     n, m, p = traj.x.shape[1], traj.w.shape[1], traj.y.shape[1]
     Path(plot_path).write_text(gnuplot_script(csv_path, plot_path, n, m, p))

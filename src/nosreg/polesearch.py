@@ -72,13 +72,8 @@ def search(spec: SearchSpec, x0) -> tuple[PoleSet, Certificate, int]:
     best_p: float | None = None
     best_poles: tuple[float, ...] | None = None
     for trial in range(spec.max_trials):
-        lams = draws[trial]
-        if lams[-1] >= 0.0:
-            continue
-        if spec.n > 1 and np.diff(lams).min() < spec.sep_min:
-            continue
         try:
-            poles = PoleSet(tuple(lams), sep_min=spec.sep_min)
+            poles = PoleSet(tuple(draws[trial]), sep_min=spec.sep_min)
             cert = certify(modal_coeffs(poles, x0))
         except (InvalidPoleSet, SingularMatrix):
             continue

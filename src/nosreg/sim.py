@@ -1,11 +1,14 @@
 """Fixed-step closed-loop simulation and overshoot monitoring.
 
-Classical RK4 on a uniform grid, with the exosystem integrated jointly with
-the plant.  Fixed stepping keeps runs deterministic (identical inputs give
-byte-identical trajectories) and makes sample-bracket overshoot detection
-well defined.  The integration loops work on plain Python floats: the state
-vectors here have a handful of components, where float arithmetic beats
-small-array overhead by an order of magnitude.
+One simulator, :func:`simulate_nonlinear`, runs every closed loop: a
+feedback-linearizable plant under its linearizing law, and the linear normal
+form as the plant :func:`~nosreg.chains.chain_plant` (identity chain map,
+``u = v``).  Classical RK4 on a uniform grid, with the exosystem integrated
+jointly with the plant.  Fixed stepping keeps runs deterministic (identical
+inputs give byte-identical trajectories) and makes sample-bracket overshoot
+detection well defined.  The integration loop works on plain Python floats:
+the state vectors here have a handful of components, where float arithmetic
+beats small-array overhead by an order of magnitude.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from math import isfinite
 
 import numpy as np
 
-from .chains import Exosystem, MimoChain, NonlinearPlant
+from .chains import Exosystem, NonlinearPlant
 from .errors import DimensionMismatch, NonFiniteState
 from .linalg import as_vector
 from .regulation import RegulatorGains
@@ -89,7 +92,7 @@ def rk4_step(deriv, t: float, z, h: float):
 
 
 def _rk4_tuple(deriv, t, z, h):
-    # float-tuple twin of rk4_step for the hot loops below
+    # float-tuple twin of rk4_step for the hot loop below
     h2 = 0.5 * h
     k1 = deriv(t, z)
     k2 = deriv(t + h2, tuple(zi + h2 * ki for zi, ki in zip(z, k1)))
@@ -141,54 +144,16 @@ def _assemble(times, states, records, n: int) -> Trajectory:
 
 
 def _gain_rows(gains: RegulatorGains | None, p: int, gamma: int, m: int):
+    """Rows of the stacked gain ``[F G]``, so that ``v = [F G] (xi, w)``."""
     if gains is None:
-        return (((0.0,) * gamma,) * p, ((0.0,) * m,) * p)
+        return ((0.0,) * (gamma + m),) * p
     if gains.F.shape != (p, gamma):
         raise DimensionMismatch(
             f"gain F has shape {gains.F.shape}, expected {(p, gamma)}")
     if gains.G.shape != (p, m):
         raise DimensionMismatch(
             f"gain G has shape {gains.G.shape}, expected {(p, m)}")
-    return _rows(gains.F), _rows(gains.G)
-
-
-def simulate_linear(mimo: MimoChain, exo: Exosystem, gains: RegulatorGains | None,
-                    xi0, cfg: SimConfig = SimConfig()) -> tuple[Trajectory, OvershootReport]:
-    """Integrate the regulated normal-form loop xi' = Ac xi + Bc (F xi + G w), w' = S w.
-
-    ``gains=None`` runs the open chain (v = 0).
-    """
-    gamma, m, p = mimo.order, exo.dim, mimo.num_outputs
-    if exo.num_outputs != p:
-        raise DimensionMismatch("exosystem output count does not match the chain")
-    xi0 = as_vector(xi0, length=gamma)
-    F_rows, G_rows = _gain_rows(gains, p, gamma, m)
-
-    M = np.zeros((gamma + m, gamma + m))
-    M[:gamma, :gamma] = mimo.Ac + mimo.Bc @ np.asarray(F_rows)
-    M[:gamma, gamma:] = mimo.Bc @ np.asarray(G_rows)
-    M[gamma:, gamma:] = exo.S
-    M_rows = _rows(M)
-
-    def deriv(t, z):
-        return _matvec(M_rows, z)
-
-    H_rows = _rows(exo.H)
-    C_rows = _rows(mimo.Cc)
-
-    def observe(t, z):
-        xi = z[:gamma]
-        w = z[gamma:]
-        y = _matvec(C_rows, xi)
-        r = _matvec(H_rows, w)
-        e = tuple(ri - yi for ri, yi in zip(r, y))
-        v = tuple(fv + gv for fv, gv in zip(_matvec(F_rows, xi), _matvec(G_rows, w)))
-        return y, r, e, v, v
-
-    z0 = tuple(xi0) + tuple(exo.w0)
-    times, states, records = _integrate(deriv, z0, cfg, observe)
-    traj = _assemble(times, states, records, gamma)
-    return traj, detect_overshoot(traj.times, traj.e, cfg.zero_band)
+    return _rows(np.hstack([gains.F, gains.G]))
 
 
 def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
@@ -198,24 +163,24 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
 
     At every derivative evaluation the chain coordinates are recomputed from
     the plant state, so the loop exercises the actual nonlinear closed loop
-    rather than its normal-form idealization.  ``gains=None`` forces v = 0,
-    exposing the raw effort the linearizing law spends on cancelling the
-    plant nonlinearity.
+    rather than its normal-form idealization.  The linear normal form itself
+    runs as ``chain_plant(degrees)`` with ``x0 = xi0``.  ``gains=None``
+    forces v = 0, exposing the raw effort the linearizing law spends on
+    cancelling the plant nonlinearity.
     """
     n, p, m = plant.state_dim, plant.input_dim, exo.dim
     gamma = sum(plant.degrees)
     if exo.num_outputs != p:
         raise DimensionMismatch("exosystem output count does not match the plant")
     x0 = as_vector(x0, length=n)
-    F_rows, G_rows = _gain_rows(gains, p, gamma, m)
+    K_rows = _gain_rows(gains, p, gamma, m)
     S_rows = _rows(exo.S)
     H_rows = _rows(exo.H)
     dynamics, output = plant.dynamics, plant.output
     normal_map, feedback = plant.normal_map, plant.linearizing_feedback
 
     def control(x, w):
-        xi = normal_map(x)
-        v = tuple(fv + gv for fv, gv in zip(_matvec(F_rows, xi), _matvec(G_rows, w)))
+        v = _matvec(K_rows, tuple(normal_map(x)) + w)
         return v, feedback(x, v)
 
     def deriv(t, z):

@@ -42,9 +42,10 @@ class TestCertify:
         assert not cert.passed
 
     def test_zero_alpha_passes(self):
-        cert = certify(modal_coeffs(SLOW_POLES, np.zeros(4)))
-        assert cert.passed
-        assert cert.p_value == 0.0
+        for poles in (SLOW_POLES, PoleSet((-2.0,))):
+            cert = certify(modal_coeffs(poles, np.zeros(poles.n)))
+            assert cert.passed
+            assert cert.p_value == 0.0
 
     def test_single_mode_always_passes(self):
         cert = certify(modal_coeffs(PoleSet((-2.0,)), [3.0]))

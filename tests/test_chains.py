@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nosreg.chains import (Exosystem, NonlinearPlant, assemble_mimo,
-                           make_chain, split_state)
+                           chain_plant, make_chain, split_state)
 from nosreg.errors import DimensionMismatch, InvalidOrder
 
 
@@ -87,6 +87,21 @@ def test_chain_controllability_matrix_is_permutation_of_identity(order):
     ctrb = np.hstack(cols)
     # columns are reversed unit vectors: full rank by construction
     np.testing.assert_array_equal(np.abs(ctrb), np.eye(order)[:, ::-1])
+
+
+@pytest.mark.parametrize("degrees", [(4,), (2, 3), (1, 4, 2)])
+def test_chain_plant_matches_assembled_matrices(degrees):
+    # the chain as a plant: xi' = Ac xi + Bc u, y = Cc xi, identity chain map, u = v
+    mimo = assemble_mimo(degrees)
+    plant = chain_plant(degrees)
+    rng = np.random.default_rng(0)
+    x = tuple(rng.normal(size=mimo.order))
+    u = tuple(rng.normal(size=mimo.num_outputs))
+    np.testing.assert_array_equal(plant.dynamics(x, u),
+                                  mimo.Ac @ x + mimo.Bc @ u)
+    np.testing.assert_array_equal(plant.output(x), mimo.Cc @ x)
+    assert tuple(plant.normal_map(x)) == x
+    assert tuple(plant.linearizing_feedback(x, u)) == u
 
 
 def test_split_state_contiguous():

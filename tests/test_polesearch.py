@@ -74,14 +74,14 @@ def test_positive_interval_rejected():
 
 
 def test_downstream_simulation_has_no_sign_change():
-    from nosreg.chains import Exosystem, assemble_mimo
+    from nosreg.chains import Exosystem, assemble_mimo, chain_plant
     from nosreg.regulation import synthesize
-    from nosreg.sim import SimConfig, simulate_linear
+    from nosreg.sim import SimConfig, simulate_nonlinear
 
     exo = Exosystem(S=[[0.0, 1.0], [-1.0, 0.0]], H=[[1.0, 0.0]], w0=[1.0, 0.0])
     xi0 = np.array([0.0, 2.0, -5.0, 4.0])
     poles, _, _ = search(SearchSpec(intervals=BANDS, seed=31), XT0)
     gains = synthesize(assemble_mimo([4]), exo, xi0, [poles])
-    _, report = simulate_linear(assemble_mimo([4]), exo, gains, xi0,
-                                SimConfig(horizon=20.0))
+    _, report = simulate_nonlinear(chain_plant([4]), exo, gains, xi0,
+                                   SimConfig(horizon=20.0))
     assert not report.any_overshoot

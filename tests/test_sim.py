@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from nosreg.chains import Exosystem, assemble_mimo
+from nosreg.chains import Exosystem, assemble_mimo, chain_plant, split_state
 from nosreg.errors import DimensionMismatch, NonFiniteState
 from nosreg.modal import PoleSet, modal_coeffs, natural_response
 from nosreg.plants import REFERENCE_X0, benchmark_plant
 from nosreg.regulation import synthesize
 from nosreg.sim import (SimConfig, detect_overshoot, rk4_step,
-                        simulate_linear, simulate_nonlinear, write_csv)
+                        simulate_nonlinear, write_csv)
 
 ROTATION = Exosystem(S=[[0.0, 1.0], [-1.0, 0.0]], H=[[1.0, 0.0]], w0=[1.0, 0.0])
 SLOW_POLES = PoleSet((-4.847, -4.017, -2.432, -0.1032))
 XI0 = np.array([0.0, 2.0, -5.0, 4.0])
+
+# two channels, degrees (2, 3): channel 1 tracks cos t, channel 2 tracks -sin t
+ROTATION2 = Exosystem(S=ROTATION.S, H=np.eye(2), w0=[1.0, 0.0])
+MIMO_POLES = (PoleSet((-3.0, -1.0)), PoleSet((-4.0, -2.0, -0.5)))
+MIMO_XI0 = np.array([2.0, 0.5, 0.8, -0.7, 0.1])
 
 
 def _benchmark_gains(poles=SLOW_POLES):
@@ -57,38 +62,40 @@ class TestSimulateLinear:
         gains = _benchmark_gains()
         Pi = gains.subsystems[0].Pi
         xi0 = Pi @ ROTATION.w0
-        traj, report = simulate_linear(assemble_mimo([4]), ROTATION, gains, xi0,
-                                       SimConfig(horizon=5.0))
+        traj, report = simulate_nonlinear(chain_plant([4]), ROTATION, gains, xi0,
+                                          SimConfig(horizon=5.0))
         assert np.max(np.abs(traj.e)) <= 1e-9
         assert not report.any_overshoot
 
     def test_quiescent_everything_stays_zero(self):
         exo = Exosystem(S=[[0.0, 1.0], [-1.0, 0.0]], H=[[1.0, 0.0]], w0=[0.0, 0.0])
         gains = _benchmark_gains()
-        traj, _ = simulate_linear(assemble_mimo([4]), exo, gains, np.zeros(4),
-                                  SimConfig(horizon=2.0))
+        traj, _ = simulate_nonlinear(chain_plant([4]), exo, gains, np.zeros(4),
+                                     SimConfig(horizon=2.0))
         assert np.max(np.abs(traj.x)) == 0.0
         assert np.max(np.abs(traj.e)) == 0.0
         assert np.max(np.abs(traj.u)) == 0.0
 
     def test_error_matches_modal_response_oracle(self):
-        # e(t) = -(natural response of the offset state) in closed form
-        gains = _benchmark_gains()
-        Pi = gains.subsystems[0].Pi
-        xt0 = XI0 - Pi @ ROTATION.w0
-        decomp = modal_coeffs(SLOW_POLES, xt0)
-        traj, report = simulate_linear(assemble_mimo([4]), ROTATION, gains, XI0,
-                                       SimConfig(horizon=10.0))
-        ref = -natural_response(decomp, traj.times)
-        assert traj.e[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(traj.e[:, 0] - ref)) <= 1e-6
-        assert not report.any_overshoot
-        assert abs(traj.e[-1, 0]) < 0.1
+        # e_j(t) = -(natural response of channel j's own offset) in closed form
+        for degrees, exo, xi0, poles, e0 in (
+                ((4,), ROTATION, XI0, (SLOW_POLES,), (1.0,)),
+                ((2, 3), ROTATION2, MIMO_XI0, MIMO_POLES, (-1.0, -0.8))):
+            gains = synthesize(assemble_mimo(degrees), exo, xi0, poles)
+            traj, report = simulate_nonlinear(chain_plant(degrees), exo, gains, xi0,
+                                              SimConfig(horizon=10.0))
+            np.testing.assert_allclose(traj.e[0], e0, rtol=0.0, atol=1e-12)
+            for j, xi0_j in enumerate(split_state(xi0, degrees)):
+                xt0 = xi0_j - gains.subsystems[j].Pi @ exo.w0
+                ref = -natural_response(modal_coeffs(poles[j], xt0), traj.times)
+                assert np.max(np.abs(traj.e[:, j] - ref)) <= 1e-6
+                assert abs(traj.e[-1, j]) < 0.1
+            assert not report.any_overshoot
 
     def test_uniform_grid_spacing(self):
-        traj, _ = simulate_linear(assemble_mimo([4]), ROTATION, _benchmark_gains(),
-                                  XI0, SimConfig(step=1e-3, horizon=1.0,
-                                                 record_stride=10))
+        traj, _ = simulate_nonlinear(chain_plant([4]), ROTATION, _benchmark_gains(),
+                                     XI0, SimConfig(step=1e-3, horizon=1.0,
+                                                    record_stride=10))
         np.testing.assert_allclose(np.diff(traj.times), 1e-2, atol=1e-12)
         assert traj.e.shape == (101, 1)
         np.testing.assert_allclose(traj.e, traj.r - traj.y, atol=0.0)
@@ -107,8 +114,8 @@ class TestSimulateNonlinear:
         gains = _benchmark_gains()
         cfg = SimConfig(horizon=10.0)
         traj_nl, _ = simulate_nonlinear(plant, ROTATION, gains, REFERENCE_X0, cfg)
-        traj_lin, _ = simulate_linear(assemble_mimo([4]), ROTATION, gains,
-                                      plant.normal_map(REFERENCE_X0), cfg)
+        traj_lin, _ = simulate_nonlinear(chain_plant([4]), ROTATION, gains,
+                                         plant.normal_map(REFERENCE_X0), cfg)
         assert np.max(np.abs(traj_nl.y - traj_lin.y)) <= 1e-5
 
     def test_step_halving_changes_nothing_measurable(self):
