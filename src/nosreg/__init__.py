@@ -7,15 +7,14 @@ state-feedback + feedforward pair, and verify the nonovershooting guarantee
 by simulation.
 """
 
-from .certificates import (Certificate, certify, certify_initial_condition,
-                           certify_n2, certify_n3_closedform)
+from .certificates import (Certificate, certify, certify_n2,
+                           certify_n3_closedform)
 from .chains import (ChainSystem, Exosystem, MimoChain, NonlinearPlant,
                      assemble_mimo, chain_plant, make_chain, split_state)
 from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
                      InvalidOrder, InvalidPoleSet, NonFiniteState,
-                     NoRegulatorSolution, NosregError, SearchExhausted,
-                     SingularMatrix)
-from .linalg import kron, lu_solve
+                     NosregError, SearchExhausted, SingularMatrix)
+from .linalg import lu_solve
 from .modal import (ModalDecomposition, PoleSet, modal_coeffs, moore_feedback,
                     natural_response, rosenbrock_closed_form)
 from .plants import BUILTIN_PLANTS, REFERENCE_X0, benchmark_plant
@@ -31,13 +30,13 @@ __all__ = [
     "BUILTIN_PLANTS", "Certificate", "CertificateFailed", "ChainSystem",
     "ConfigError", "DimensionMismatch", "Exosystem", "InvalidOrder",
     "InvalidPoleSet", "MimoChain", "ModalDecomposition", "NonFiniteState",
-    "NonlinearPlant", "NoRegulatorSolution", "NosregError", "OvershootReport",
-    "PoleSet", "REFERENCE_X0", "RegulatorGains", "SearchExhausted",
-    "SearchSpec", "SimConfig", "SingularMatrix", "SubsystemGains",
-    "Trajectory", "assemble_mimo", "benchmark_plant", "certify",
-    "certify_initial_condition", "certify_n2", "certify_n3_closedform",
-    "chain_plant", "detect_overshoot", "kron", "lu_solve", "make_chain",
-    "modal_coeffs", "moore_feedback", "natural_response", "nominal_ic",
-    "rk4_step", "rosenbrock_closed_form", "search", "simulate_nonlinear",
-    "solve_sylvester", "split_state", "synthesize", "write_csv",
+    "NonlinearPlant", "NosregError", "OvershootReport", "PoleSet",
+    "REFERENCE_X0", "RegulatorGains", "SearchExhausted", "SearchSpec",
+    "SimConfig", "SingularMatrix", "SubsystemGains", "Trajectory",
+    "assemble_mimo", "benchmark_plant", "certify", "certify_n2",
+    "certify_n3_closedform", "chain_plant", "detect_overshoot", "lu_solve",
+    "make_chain", "modal_coeffs", "moore_feedback", "natural_response",
+    "nominal_ic", "rk4_step", "rosenbrock_closed_form", "search",
+    "simulate_nonlinear", "solve_sylvester", "split_state", "synthesize",
+    "write_csv",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import as_vector
-from .modal import ModalDecomposition, PoleSet, modal_coeffs
+from .modal import ModalDecomposition, PoleSet
 
 # Coefficients below this fraction of max|alpha| count as zero when classifying
 # signs, so roundoff in a solve cannot flip a c_k.
@@ -116,8 +116,3 @@ def certify_n3_closedform(x0, poles: PoleSet) -> tuple[float, float, float, floa
     alpha = np.array([f2 / (d12 * d13), -f3 / (d12 * d23), f1 / (d13 * d23)])
     _, p = _score(alpha)
     return float(f1), float(f2), float(f3), p
-
-
-def certify_initial_condition(poles: PoleSet, x0) -> Certificate:
-    """Convenience path: modal coefficients of ``x0`` under ``poles``, then certify."""
-    return certify(modal_coeffs(poles, x0))

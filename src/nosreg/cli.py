@@ -20,7 +20,7 @@ from .chains import (Exosystem, NonlinearPlant, assemble_mimo, chain_plant,
                      split_state)
 from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
                      InvalidOrder, InvalidPoleSet, NonFiniteState,
-                     NoRegulatorSolution, SearchExhausted, SingularMatrix)
+                     SearchExhausted, SingularMatrix)
 from .linalg import as_vector
 from .modal import DEFAULT_SEP_MIN, PoleSet
 from .plants import BUILTIN_PLANTS
@@ -35,7 +35,7 @@ EXIT_SEARCH = 4
 EXIT_SIMULATION = 5
 
 _VALIDATION_ERRORS = (ConfigError, DimensionMismatch, InvalidOrder, InvalidPoleSet)
-_SYNTHESIS_ERRORS = (SingularMatrix, NoRegulatorSolution, CertificateFailed)
+_SYNTHESIS_ERRORS = (SingularMatrix, CertificateFailed)
 
 
 @dataclass(frozen=True)

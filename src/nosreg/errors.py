@@ -25,10 +25,6 @@ class InvalidPoleSet(NosregError):
     """Candidate closed-loop poles violate ordering, negativity or separation."""
 
 
-class NoRegulatorSolution(NosregError):
-    """The stacked Sylvester system is singular (exosystem resonance)."""
-
-
 class CertificateFailed(NosregError):
     """The nonovershoot certificate rejected the candidate pole set."""
 

@@ -1,4 +1,4 @@
-"""Small dense real-matrix kernel: validated construction, LU solving, Kronecker products.
+"""Small dense real-matrix kernel: validated construction and LU solving.
 
 Matrices are plain ``numpy.ndarray`` values (2-D, float64, row-major).
 Everything here targets the tiny systems of this package (n <= ~20), so a
@@ -99,8 +99,3 @@ def lu_solve(A, B) -> np.ndarray:
         X[k] /= U[k, k]
 
     return X[:, 0] if one_dim else X
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product with shape ``(rA*rB, cA*cB)``."""
-    return np.kron(as_matrix(A), as_matrix(B))

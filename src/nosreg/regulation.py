@@ -2,12 +2,19 @@
 
 Per subsystem j the steady-state pair (Pi_j, Gamma_j) solves
 
-    Pi_j S = A_j Pi_j + B_j Gamma_j,      C_j Pi_j = H_j,
+    Pi_j S = A_j Pi_j + B_j Gamma_j,      C_j Pi_j = H_j.
 
-the feedback F_j places the chosen poles, the feedforward is
-G_j = Gamma_j - F_j Pi_j, and the transient that must not change sign starts
-from the nominal initial condition xi0_j - Pi_j w0.  The sign convention
-C Pi = H makes e = r - y vanish on the manifold x = Pi w.
+On an order-g chain the steady state is the reference and its first g - 1
+derivatives, so the pair is in closed form:
+
+    Pi_j = [H_j; H_j S; ...; H_j S^(g-1)],      Gamma_j = H_j S^g.
+
+It exists for every S, because a chain of integrators has no transmission
+zeros for an exosystem mode to resonate with.  The feedback F_j places the
+chosen poles, the feedforward is G_j = Gamma_j - F_j Pi_j, and the transient
+that must not change sign starts from the nominal initial condition
+xi0_j - Pi_j w0.  The sign convention C Pi = H makes e = r - y vanish on the
+manifold x = Pi w.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ import numpy as np
 
 from .certificates import Certificate, certify
 from .chains import ChainSystem, Exosystem, MimoChain, split_state
-from .errors import CertificateFailed, DimensionMismatch, NoRegulatorSolution, SingularMatrix
-from .linalg import as_matrix, as_vector, kron, lu_solve
+from .errors import CertificateFailed, DimensionMismatch, SingularMatrix
+# lu_solve is unused here; the benchmark tracer patches nosreg.regulation.lu_solve
+from .linalg import as_matrix, as_vector, lu_solve
 from .modal import ModalDecomposition, PoleSet, modal_coeffs, moore_feedback
 
 
@@ -52,38 +60,19 @@ class RegulatorGains:
 def solve_sylvester(chain: ChainSystem, exo: Exosystem, H_row) -> tuple[np.ndarray, np.ndarray]:
     """Solve the regulator equations for one chain against the exosystem.
 
-    Stacks the gamma*m + m linear equations in the entries of Pi and Gamma
-    (column-major vec, Kronecker identities) and solves them in one shot.
+    Row k of Pi is H_row S^k and Gamma is H_row S^g, built with g = chain.order
+    row-vector products.
 
     Returns
     -------
     (Pi, Gamma) : Pi of shape (gamma, m), Gamma of shape (1, m).
-
-    Raises
-    ------
-    NoRegulatorSolution
-        If the stacked system is singular, i.e. an exosystem mode resonates
-        with the chain dynamics.
     """
-    g = chain.order
-    S = exo.S
-    m = exo.dim
-    H_row = as_matrix(H_row, rows=1, cols=m)
-    Ig = np.eye(g)
-    Im = np.eye(m)
-    # vec(Pi S - A Pi - B Gamma) = 0  and  vec(C Pi) = vec(H_row)
-    top = np.hstack([kron(S.T, Ig) - kron(Im, chain.A), -kron(Im, chain.B)])
-    bottom = np.hstack([kron(Im, chain.C), np.zeros((m, m))])
-    M = np.vstack([top, bottom])
-    rhs = np.concatenate([np.zeros(g * m), H_row[0]])
-    try:
-        z = lu_solve(M, rhs)
-    except SingularMatrix as exc:
-        raise NoRegulatorSolution(
-            f"no (Pi, Gamma) exists for this exosystem: {exc}") from exc
-    Pi = z[:g * m].reshape((m, g)).T
-    Gamma = z[g * m:].reshape((1, m))
-    return Pi, Gamma
+    H_row = as_matrix(H_row, rows=1, cols=exo.dim)
+    rows = [H_row[0]]
+    for _ in range(chain.order):
+        rows.append(rows[-1] @ exo.S)
+    stacked = np.vstack(rows)
+    return stacked[:-1], stacked[-1:]
 
 
 def nominal_ic(xi0_j, Pi_j, w0) -> np.ndarray:
@@ -143,8 +132,9 @@ def synthesize(mimo: MimoChain, exo: Exosystem, xi0, pole_sets) -> RegulatorGain
         try:
             sub = design_subsystem(chain, exo, exo.H[j:j + 1], xi_blocks[j],
                                    pole_sets[j])
-        except (NoRegulatorSolution, SingularMatrix) as exc:
-            raise type(exc)(f"subsystem {j}: {exc}") from exc
+        except SingularMatrix as exc:
+            raise SingularMatrix(f"subsystem {j}: {exc}",
+                                 pivot_index=exc.pivot_index) from exc
         if not sub.cert.passed:
             raise CertificateFailed(j, sub.cert.p_value)
         subs.append(sub)

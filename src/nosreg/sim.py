@@ -256,6 +256,5 @@ def write_csv(traj: Trajectory, path) -> None:
     blocks = np.hstack([traj.times[:, None], traj.x, traj.w, traj.y, traj.r,
                         traj.e, traj.u, traj.v])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in blocks:
-            fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+        np.savetxt(fh, blocks, fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")

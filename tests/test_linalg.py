@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nosreg.errors import DimensionMismatch, SingularMatrix
-from nosreg.linalg import as_matrix, as_vector, kron, lu_solve
+from nosreg.linalg import as_matrix, as_vector, lu_solve
 
 
 def test_identity_solve_returns_rhs():
@@ -67,40 +67,3 @@ def test_solve_recovers_random_solutions(n, k, seed):
     X = rng.normal(size=(n, k))
     X_hat = lu_solve(A, A @ X)
     assert np.max(np.abs(X_hat - X)) <= 1e-8 * max(1.0, np.max(np.abs(X)))
-
-
-def test_kron_identity_factor_is_block_diagonal():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    K = kron(np.eye(2), M)
-    expected = np.zeros((4, 4))
-    expected[:2, :2] = M
-    expected[2:, 2:] = M
-    np.testing.assert_array_equal(K, expected)
-
-
-def test_kron_scalar_factor():
-    np.testing.assert_array_equal(
-        kron([[0.0, 1.0], [-1.0, 0.0]], [[1.0]]),
-        [[0.0, 1.0], [-1.0, 0.0]])
-
-
-def test_kron_outer_structure():
-    np.testing.assert_array_equal(
-        kron([[1.0], [2.0]], [[3.0, 4.0]]),
-        [[3.0, 4.0], [6.0, 8.0]])
-
-
-@given(
-    ra=st.integers(1, 3), ca=st.integers(1, 3),
-    rb=st.integers(1, 3), cb=st.integers(1, 3),
-    rc=st.integers(1, 3), cc=st.integers(1, 3),
-)
-def test_kron_shape_associativity(ra, ca, rb, cb, rc, cc):
-    A, B, C = np.ones((ra, ca)), np.ones((rb, cb)), np.ones((rc, cc))
-    assert kron(kron(A, B), C).shape == kron(A, kron(B, C)).shape
-
-
-def test_kron_matches_numpy_oracle():
-    rng = np.random.default_rng(3)
-    A, B = rng.normal(size=(2, 3)), rng.normal(size=(4, 2))
-    np.testing.assert_array_equal(kron(A, B), np.kron(A, B))

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nosreg.chains import ChainSystem, Exosystem, assemble_mimo, make_chain
-from nosreg.errors import (CertificateFailed, DimensionMismatch,
-                           NoRegulatorSolution)
-from nosreg.modal import PoleSet
+from nosreg.chains import Exosystem, assemble_mimo, make_chain
+from nosreg.errors import CertificateFailed, DimensionMismatch, SingularMatrix
+from nosreg.modal import PoleSet, moore_feedback
 from nosreg.regulation import (nominal_ic, solve_sylvester, synthesize)
 
 ROTATION = Exosystem(S=[[0.0, 1.0], [-1.0, 0.0]], H=[[1.0, 0.0]], w0=[1.0, 0.0])
@@ -15,10 +14,17 @@ SLOW_POLES = PoleSet((-4.847, -4.017, -2.432, -0.1032))
 
 class TestSolveSylvester:
     def test_fourth_order_chain_against_rotation(self):
-        Pi, Gamma = solve_sylvester(make_chain(4), ROTATION, [[1.0, 0.0]])
-        np.testing.assert_allclose(
-            Pi, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], atol=1e-9)
-        np.testing.assert_allclose(Gamma, [[1.0, 0.0]], atol=1e-9)
+        # at omega = 1e3 the entries span twelve decades, so each is compared
+        # relative to its own scale omega^k
+        for omega in (1.0, 1e3):
+            exo = Exosystem(S=[[0.0, omega], [-omega, 0.0]], H=[[1.0, 0.0]],
+                            w0=[1.0, 0.0])
+            Pi, Gamma = solve_sylvester(make_chain(4), exo, [[1.0, 0.0]])
+            scale = np.array([[omega ** k] for k in range(4)])
+            np.testing.assert_allclose(
+                Pi / scale,
+                [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], atol=1e-12)
+            np.testing.assert_allclose(Gamma / omega ** 4, [[1.0, 0.0]], atol=1e-12)
 
     def test_order_one_constant_reference(self):
         exo = Exosystem(S=[[0.0]], H=[[1.0]], w0=[2.0])
@@ -45,14 +51,6 @@ class TestSolveSylvester:
         scale = max(1.0, np.max(np.abs(Pi)), np.max(np.abs(Gamma)))
         assert np.max(np.abs(Pi @ S - chain.A @ Pi - chain.B @ Gamma)) <= 1e-9 * scale
         assert np.max(np.abs(chain.C @ Pi - H_row)) <= 1e-9 * scale
-
-    def test_singular_stacked_system_reported(self):
-        # a degenerate "chain" whose input never acts leaves Gamma unconstrained
-        broken = ChainSystem(order=1, A=np.zeros((1, 1)), B=np.zeros((1, 1)),
-                             C=np.ones((1, 1)))
-        exo = Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0])
-        with pytest.raises(NoRegulatorSolution):
-            solve_sylvester(broken, exo, [[1.0]])
 
 
 class TestNominalIC:
@@ -118,6 +116,19 @@ class TestSynthesize:
         np.testing.assert_array_equal(gains.F[0, :2], gains.subsystems[0].F[0])
         np.testing.assert_array_equal(gains.F[1, 2:], gains.subsystems[1].F[0])
         assert gains.G.shape == (2, 2)
+
+    def test_singular_feedback_keeps_pivot_index(self):
+        # poles 2e-6 apart make the Vandermonde solve in moore_feedback singular;
+        # the subsystem prefix must not drop the pivot it reports
+        poles = PoleSet(tuple(sorted(-1.0 - 2e-6 * k for k in range(4))))
+        with pytest.raises(SingularMatrix) as direct:
+            moore_feedback(poles)
+        exo = Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0])
+        with pytest.raises(SingularMatrix) as exc:
+            synthesize(assemble_mimo([4]), exo, np.zeros(4), [poles])
+        assert direct.value.pivot_index == 3
+        assert exc.value.pivot_index == 3
+        assert str(exc.value).startswith("subsystem 0: ")
 
     def test_pole_set_count_must_match(self):
         with pytest.raises(DimensionMismatch):
