@@ -16,7 +16,7 @@ from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
                      NosregError, SearchExhausted, SingularMatrix)
 from .linalg import lu_solve
 from .modal import (ModalDecomposition, PoleSet, modal_coeffs, moore_feedback,
-                    natural_response, rosenbrock_closed_form)
+                    natural_response)
 from .plants import BUILTIN_PLANTS, REFERENCE_X0, benchmark_plant
 from .polesearch import SearchSpec, search
 from .regulation import (RegulatorGains, SubsystemGains, nominal_ic,
@@ -36,7 +36,7 @@ __all__ = [
     "assemble_mimo", "benchmark_plant", "certify", "certify_n2",
     "certify_n3_closedform", "chain_plant", "detect_overshoot", "lu_solve",
     "make_chain", "modal_coeffs", "moore_feedback", "natural_response",
-    "nominal_ic", "rk4_step", "rosenbrock_closed_form", "search",
+    "nominal_ic", "rk4_step", "search",
     "simulate_nonlinear", "solve_sylvester", "split_state", "synthesize",
     "write_csv",
 ]

@@ -112,7 +112,7 @@ def check_sylvester_reproduction() -> CriterionResult:
 def check_gain_reproduction() -> CriterionResult:
     exo = reference_exosystem()
     Pi, Gamma = solve_sylvester(make_chain(4), exo, EXO_H)
-    F, _, _ = moore_feedback(PoleSet(POLES_SLOW))
+    F = moore_feedback(PoleSet(POLES_SLOW))
     G = Gamma - F @ Pi
     f_err = np.abs(F[0] - np.array(EXPECTED_F_SLOW)).max()
     g_err = np.abs(G[0] - np.array(EXPECTED_G_SLOW)).max()
@@ -141,7 +141,7 @@ def check_pole_placement() -> CriterionResult:
     for name, poles, (first, last) in (("medium", POLES_MEDIUM, EXPECTED_EDGE_MEDIUM),
                                        ("fast", POLES_FAST, EXPECTED_EDGE_FAST)):
         ps = PoleSet(poles)
-        F, _, _ = moore_feedback(ps)
+        F = moore_feedback(ps)
         n = ps.n
         A, B = make_chain(n).A, make_chain(n).B
         achieved = np.poly(A + B @ F)          # leading-1 coefficients

@@ -5,7 +5,8 @@ Everything here targets the tiny systems of this package (n <= ~20), so a
 single partial-pivoting LU path with an explicit singularity threshold is
 preferred over general-purpose library solvers: near-coincident closed-loop
 poles must surface as :class:`~nosreg.errors.SingularMatrix`, not as garbage
-gains.
+modal coefficients.  (The gains themselves are closed-form polynomial
+coefficients and need no solve.)
 """
 
 from __future__ import annotations

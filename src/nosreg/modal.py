@@ -1,12 +1,13 @@
 """Eigenstructure tools for a single integrator chain.
 
-For a chain of order ``n`` and a stable real pole ``lam``, the eigenvector /
-input-direction pair normalized to unit output is available in closed form:
-``v = (1, lam, lam^2, ..., lam^(n-1))`` with ``w = lam^n``.  Collecting the
-pairs over a pole set gives the Vandermonde-structured matrix ``V`` and the
-row ``W``; the pole-placing feedback is then ``F = W V^{-1}`` and the natural
-output response from ``x0`` is the modal mixture ``sum_i alpha_i e^{lam_i t}``
-with ``alpha = V^{-1} x0``.
+On a chain of order ``n`` the closed loop ``A + B F`` is in companion form
+with last row ``F``, so the pole-placing feedback is fixed by the pole set
+alone: ``F`` is minus the coefficients of ``prod_i (s - lam_i)``, constant
+term first.  The eigenvector of a stable real pole ``lam``, normalized to
+unit output, is ``v = (1, lam, lam^2, ..., lam^(n-1))``; collecting them over
+a pole set gives the Vandermonde matrix ``V``, and the natural output
+response from ``x0`` is the modal mixture ``sum_i alpha_i e^{lam_i t}`` with
+``alpha = V^{-1} x0``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidPoleSet, SingularMatrix
+from .errors import InvalidPoleSet, SingularMatrix
 from .linalg import as_vector, lu_solve
 
 DEFAULT_SEP_MIN = 1e-6
@@ -53,11 +54,10 @@ class PoleSet:
 
 @dataclass(frozen=True, eq=False)
 class ModalDecomposition:
-    """Eigenvector matrix V, eigendirections W, and modal coefficients for one x0."""
+    """Eigenvector matrix V and modal coefficients for one x0."""
 
     poles: PoleSet
     V: np.ndarray
-    W: np.ndarray
     alpha: np.ndarray
     x0: np.ndarray
 
@@ -66,60 +66,34 @@ class ModalDecomposition:
         return self.poles.n
 
 
-def rosenbrock_closed_form(lam: float, n: int) -> tuple[np.ndarray, float]:
-    """Closed-form eigenvector/input-direction pair for one pole of an order-n chain.
+def vandermonde(poles: PoleSet) -> np.ndarray:
+    """The n x n eigenvector matrix V, column i being ``(1, lam_i, ..., lam_i^(n-1))``."""
+    return np.vander(poles.as_array(), poles.n, increasing=True).T
 
-    Returns ``(v, w)`` with ``v = (1, lam, ..., lam^(n-1))`` and ``w = lam^n``,
-    which satisfy ``(A - lam I) v + B w = 0`` and ``C v = 1`` exactly.  The
-    powers are built by iterated multiplication so the identity holds
-    bit-for-bit in floating point, not just algebraically.
+
+def moore_feedback(poles: PoleSet) -> np.ndarray:
+    """Pole-placing state feedback F, of shape (1, n), for an order-n chain.
+
+    The closed loop ``A + B F`` is companion-form with last row F, so F is
+    minus the coefficients of ``prod_i (s - lam_i)``, constant term first,
+    and the eigenvalues of ``A + B F`` are the pole set.  With every pole
+    negative the expansion sums only positive terms, so it is accurate to a
+    few ulps.
     """
-    if n < 1:
-        raise DimensionMismatch("chain order must be >= 1")
-    lam = float(lam)
-    v = np.empty(n)
-    v[0] = 1.0
-    for k in range(1, n):
-        v[k] = lam * v[k - 1]
-    return v, lam * v[-1]
-
-
-def vandermonde(poles: PoleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the closed-form pairs into the n x n matrix V and the 1 x n row W."""
-    n = poles.n
-    V = np.empty((n, n))
-    W = np.empty((1, n))
-    for i, lam in enumerate(poles.lambdas):
-        v, w = rosenbrock_closed_form(lam, n)
-        V[:, i] = v
-        W[0, i] = w
-    return V, W
-
-
-def moore_feedback(poles: PoleSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pole-placing state feedback ``F = W V^{-1}`` for an order-n chain.
-
-    Returns ``(F, V, W)`` with F of shape (1, n).  The closed loop ``A + B F``
-    is companion-form with last row F, so its characteristic polynomial
-    coefficients are exactly ``-F`` reversed; eigenvalues equal the pole set.
-    """
-    V, W = vandermonde(poles)
-    # F = W V^{-1}  <=>  V^T F^T = W^T
-    F = lu_solve(V.T, W.T).T
-    return F, V, W
+    return -np.poly(poles.as_array())[:0:-1][None, :]
 
 
 def modal_coeffs(poles: PoleSet, x0) -> ModalDecomposition:
     """Coordinates of ``x0`` in the closed-loop eigenvector basis: solve V alpha = x0."""
     x0 = as_vector(x0, length=poles.n)
-    V, W = vandermonde(poles)
+    V = vandermonde(poles)
     alpha = lu_solve(V, x0)
     resid = np.max(np.abs(V @ alpha - x0))
     tol = 1e-9 * max(1.0, np.max(np.abs(x0)))
     if resid > tol:
         raise SingularMatrix(
             f"eigenvector basis too ill-conditioned: residual {resid:g} > {tol:g}")
-    return ModalDecomposition(poles=poles, V=V, W=W, alpha=alpha, x0=x0)
+    return ModalDecomposition(poles=poles, V=V, alpha=alpha, x0=x0)
 
 
 def natural_response(decomp: ModalDecomposition, t):

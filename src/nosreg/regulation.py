@@ -91,7 +91,7 @@ def design_subsystem(chain: ChainSystem, exo: Exosystem, H_row, xi0_j,
             f"need {chain.order} poles for an order-{chain.order} chain, got {poles.n}")
     Pi, Gamma = solve_sylvester(chain, exo, H_row)
     xt0 = nominal_ic(xi0_j, Pi, exo.w0)
-    F, _, _ = moore_feedback(poles)
+    F = moore_feedback(poles)
     decomp = modal_coeffs(poles, xt0)
     cert = certify(decomp)
     G = Gamma - F @ Pi

@@ -76,23 +76,12 @@ class OvershootReport:
         return any(self.sign_changed)
 
 
-def rk4_step(deriv, t: float, z, h: float):
-    """One classical 4th-order Runge-Kutta update of ``z' = deriv(t, z)``."""
-    if not (h > 0.0):
-        raise DimensionMismatch("step h must be positive")
-    z = np.asarray(z, dtype=float)
-    k1 = np.asarray(deriv(t, z), dtype=float)
-    k2 = np.asarray(deriv(t + 0.5 * h, z + (0.5 * h) * k1), dtype=float)
-    k3 = np.asarray(deriv(t + 0.5 * h, z + (0.5 * h) * k2), dtype=float)
-    k4 = np.asarray(deriv(t + h, z + h * k3), dtype=float)
-    z_next = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(z_next)):
-        raise NonFiniteState(t + h)
-    return z_next
+def rk4_step(deriv, t: float, z: tuple, h: float) -> tuple:
+    """One classical 4th-order Runge-Kutta update of ``z' = deriv(t, z)``.
 
-
-def _rk4_tuple(deriv, t, z, h):
-    # float-tuple twin of rk4_step for the hot loop below
+    ``z`` and the values ``deriv`` returns are tuples of floats; the result
+    is the next state as a tuple.
+    """
     h2 = 0.5 * h
     k1 = deriv(t, z)
     k2 = deriv(t + h2, tuple(zi + h2 * ki for zi, ki in zip(z, k1)))
@@ -123,7 +112,7 @@ def _integrate(deriv, z0, cfg: SimConfig, observe):
         records = [observe(0.0, z)]
         for k in range(total):
             t = (k + 1) * h
-            z = _rk4_tuple(deriv, k * h, z, h)
+            z = rk4_step(deriv, k * h, z, h)
             if not all(map(isfinite, z)):
                 raise NonFiniteState(t)
             if (k + 1) % cfg.record_stride == 0:

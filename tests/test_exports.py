@@ -1,0 +1,8 @@
+import nosreg
+
+
+def test_every_exported_name_resolves_once():
+    names = nosreg.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(nosreg, name)]
+    assert missing == []

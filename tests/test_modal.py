@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from nosreg.chains import make_chain
 from nosreg.errors import InvalidPoleSet
 from nosreg.modal import (PoleSet, modal_coeffs, moore_feedback,
-                          natural_response, rosenbrock_closed_form,
-                          vandermonde)
+                          natural_response, vandermonde)
 from nosreg.sim import rk4_step
 
 SLOW_POLES = PoleSet((-4.847, -4.017, -2.432, -0.1032))
@@ -38,26 +37,33 @@ class TestPoleSet:
 
 
 class TestRosenbrock:
-    def test_small_cases(self):
-        v, w = rosenbrock_closed_form(-1.0, 2)
-        np.testing.assert_array_equal(v, [1.0, -1.0])
-        assert w == 1.0
-        v, w = rosenbrock_closed_form(-2.0, 4)
-        np.testing.assert_array_equal(v, [1.0, -2.0, 4.0, -8.0])
-        assert w == 16.0
+    # column i of V with w = lam_i^n solves the Rosenbrock system
+    # [A - lam_i I, B; C, 0] (v, w) = (0, 1) of an order-n chain
 
-    @given(lam=st.floats(-30.0, -0.01), n=st.integers(1, 8))
-    def test_defining_identity_is_exact(self, lam, n):
-        # row i of (A - lam I) v + B w reads v[i+1] - lam v[i] (w closing the
-        # last row), which the iterated-product construction zeroes exactly
-        v, w = rosenbrock_closed_form(lam, n)
-        c = make_chain(n)
-        rows = [v[i + 1] - lam * v[i] for i in range(n - 1)] + [w - lam * v[-1]]
-        assert rows == [0.0] * n
-        assert (c.C @ v)[0] == 1.0
-        # matrix form agrees to rounding (BLAS may fuse multiply-adds)
-        resid = (c.A - lam * np.eye(n)) @ v + c.B[:, 0] * w
-        assert np.max(np.abs(resid)) <= 4e-16 * max(1.0, abs(w))
+    def test_small_cases(self):
+        ps = PoleSet((-2.0, -1.0))
+        V = vandermonde(ps)
+        np.testing.assert_array_equal(V[:, 1], [1.0, -1.0])
+        assert (moore_feedback(ps) @ V[:, 1])[0] == 1.0
+        ps = PoleSet((-3.0, -2.0, -1.0, -0.5))
+        V = vandermonde(ps)
+        np.testing.assert_array_equal(V[:, 1], [1.0, -2.0, 4.0, -8.0])
+        assert (moore_feedback(ps) @ V[:, 1])[0] == 16.0
+
+    @given(lams=st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.floats(-30.0, -0.01), min_size=n, max_size=n,
+                           unique=True)).map(sorted))
+    def test_defining_identity_is_exact(self, lams):
+        # row k of (A - lam I) v reads v[k+1] - lam v[k] for k < n - 1, which
+        # the iterated-product construction of V zeroes exactly
+        ps = PoleSet(tuple(lams), sep_min=0.0)
+        V = vandermonde(ps)
+        c = make_chain(ps.n)
+        for i, lam in enumerate(lams):
+            v = V[:, i]
+            rows = [v[k + 1] - lam * v[k] for k in range(ps.n - 1)]
+            assert rows == [0.0] * (ps.n - 1)
+            assert (c.C @ v)[0] == 1.0
 
     @settings(deadline=None)
     @given(lams=pole_lists)
@@ -65,7 +71,10 @@ class TestRosenbrock:
         # solving the defining block system numerically reproduces (v, w)
         n = len(lams)
         c = make_chain(n)
-        for lam in lams:
+        ps = PoleSet(tuple(lams))
+        V = vandermonde(ps)
+        F = moore_feedback(ps)
+        for i, lam in enumerate(lams):
             M = np.zeros((n + 1, n + 1))
             M[:n, :n] = c.A - lam * np.eye(n)
             M[:n, n] = c.B[:, 0]
@@ -73,30 +82,50 @@ class TestRosenbrock:
             rhs = np.zeros(n + 1)
             rhs[n] = 1.0
             sol = np.linalg.solve(M, rhs)
-            v, w = rosenbrock_closed_form(lam, n)
+            v = V[:, i]
+            w = (F @ v)[0]
             scale = max(1.0, np.max(np.abs(v)), abs(w))
             assert np.max(np.abs(sol[:n] - v)) <= 1e-9 * scale
             assert abs(sol[n] - w) <= 1e-9 * scale
 
+    @settings(deadline=None)
+    @given(lams=pole_lists)
+    def test_columns_are_closed_loop_eigenvectors(self, lams):
+        # F and V share no code: (A + B F) V[:, i] = lam_i V[:, i] ties them.
+        # Only the last row, F v - lam v[-1], is rounded; its scale is the sum
+        # of the magnitudes it adds up
+        ps = PoleSet(tuple(lams))
+        V = vandermonde(ps)
+        F = moore_feedback(ps)
+        c = make_chain(ps.n)
+        cl = c.A + c.B @ F
+        for i, lam in enumerate(lams):
+            v = V[:, i]
+            resid = cl @ v - lam * v
+            assert np.all(resid[:-1] == 0.0)
+            scale = (np.abs(F) @ np.abs(v))[0] + abs(lam * v[-1])
+            assert abs(resid[-1]) <= 1e-14 * scale
+
 
 class TestMooreFeedback:
     def test_scalar_case(self):
-        F, V, W = moore_feedback(PoleSet((-1.0,)))
+        F = moore_feedback(PoleSet((-1.0,)))
         np.testing.assert_allclose(F, [[-1.0]])
 
     def test_two_pole_case_matches_expanded_polynomial(self):
         # (s+1)(s+2) = s^2 + 3s + 2  =>  F = -[2, 3]
-        F, _, _ = moore_feedback(PoleSet((-2.0, -1.0)))
+        F = moore_feedback(PoleSet((-2.0, -1.0)))
         np.testing.assert_allclose(F, [[-2.0, -3.0]], atol=1e-12)
 
     def test_benchmark_pole_set(self):
-        F, _, _ = moore_feedback(SLOW_POLES)
+        F = moore_feedback(SLOW_POLES)
         np.testing.assert_allclose(F, [[-4.89, -51.6, -42.2, -11.4]], atol=0.05)
 
     def test_characteristic_polynomial_matches_pole_product(self):
         # random admissible pole sets, n <= 6; deliberately *random*, since
-        # pathological clusters (6 poles packed at magnitude 20) degrade the
-        # Vandermonde conditioning far beyond what any sane design uses
+        # pathological clusters (6 poles packed at magnitude 20) make the
+        # eigenvalues of the companion matrix A + B F, and so the independent
+        # route below, far less accurate than for any sane design
         rng = np.random.default_rng(17)
         checked = 0
         while checked < 500:
@@ -105,7 +134,7 @@ class TestMooreFeedback:
             if n > 1 and np.diff(lams).min() < 0.05:
                 continue
             ps = PoleSet(tuple(lams))
-            F, _, _ = moore_feedback(ps)
+            F = moore_feedback(ps)
             c = make_chain(n)
             achieved = np.poly(c.A + c.B @ F)  # via eigenvalues: independent route
             target = np.poly(ps.as_array())    # expand prod(s - lam_i)
@@ -113,7 +142,7 @@ class TestMooreFeedback:
             checked += 1
 
     def test_closed_loop_is_companion_with_last_row_f(self):
-        F, _, _ = moore_feedback(SLOW_POLES)
+        F = moore_feedback(SLOW_POLES)
         c = make_chain(4)
         cl = c.A + c.B @ F
         np.testing.assert_array_equal(cl[:-1], c.A[:-1])
@@ -131,7 +160,7 @@ class TestModalCoeffs:
             d.alpha, [0.2468, -0.3236, -0.7734, -0.1499], atol=5e-4)
 
     def test_eigenvector_maps_to_basis_vector(self):
-        V, _ = vandermonde(SLOW_POLES)
+        V = vandermonde(SLOW_POLES)
         for i in range(4):
             d = modal_coeffs(SLOW_POLES, V[:, i])
             e_i = np.zeros(4)
@@ -162,14 +191,14 @@ class TestNaturalResponse:
         # independent oracle: integrate x' = (A + BF) x and read the output
         x0 = np.array([-1.0, 2.0, -4.0, 4.0])
         d = modal_coeffs(SLOW_POLES, x0)
-        F, _, _ = moore_feedback(SLOW_POLES)
+        F = moore_feedback(SLOW_POLES)
         c = make_chain(4)
         cl = c.A + c.B @ F
         h = 1e-3
-        z = x0.copy()
+        z = tuple(x0)
         worst = 0.0
         for k in range(10_000):
-            z = rk4_step(lambda t, x: cl @ x, k * h, z, h)
+            z = rk4_step(lambda t, x: tuple(cl @ x), k * h, z, h)
             worst = max(worst, abs(z[0] - natural_response(d, (k + 1) * h)))
         assert worst <= 1e-6
 
@@ -177,15 +206,15 @@ class TestNaturalResponse:
         rng = np.random.default_rng(11)
         x0 = rng.uniform(-3, 3, size=4)
         d = modal_coeffs(SLOW_POLES, x0)
-        F, _, _ = moore_feedback(SLOW_POLES)
+        F = moore_feedback(SLOW_POLES)
         c = make_chain(4)
         cl = c.A + c.B @ F
         h = 0.1
         steps = 500
-        z = x0.copy()
+        z = tuple(x0)
         outputs = [z[0]]
         for k in range(steps):
-            z = rk4_step(lambda t, x: cl @ x, k * h, z, h)
+            z = rk4_step(lambda t, x: tuple(cl @ x), k * h, z, h)
             outputs.append(z[0])
         ts = np.arange(steps + 1) * h      # 500 samples spanning [0, 50]
         ref = natural_response(d, ts)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from nosreg.chains import Exosystem, assemble_mimo, make_chain
 from nosreg.errors import CertificateFailed, DimensionMismatch, SingularMatrix
-from nosreg.modal import PoleSet, moore_feedback
+from nosreg.modal import PoleSet, modal_coeffs, moore_feedback
 from nosreg.regulation import (nominal_ic, solve_sylvester, synthesize)
 
 ROTATION = Exosystem(S=[[0.0, 1.0], [-1.0, 0.0]], H=[[1.0, 0.0]], w0=[1.0, 0.0])
@@ -118,11 +118,16 @@ class TestSynthesize:
         assert gains.G.shape == (2, 2)
 
     def test_singular_feedback_keeps_pivot_index(self):
-        # poles 2e-6 apart make the Vandermonde solve in moore_feedback singular;
+        # poles 2e-6 apart make the Vandermonde solve in modal_coeffs singular;
         # the subsystem prefix must not drop the pivot it reports
         poles = PoleSet(tuple(sorted(-1.0 - 2e-6 * k for k in range(4))))
         with pytest.raises(SingularMatrix) as direct:
-            moore_feedback(poles)
+            modal_coeffs(poles, np.zeros(4))
+        # the gains need no solve: F is minus the expanded pole polynomial
+        np.testing.assert_allclose(
+            moore_feedback(poles),
+            [[-1.000012000044, -4.000036000088, -6.000036000044, -4.000012]],
+            rtol=0.0, atol=1e-12)
         exo = Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0])
         with pytest.raises(SingularMatrix) as exc:
             synthesize(assemble_mimo([4]), exo, np.zeros(4), [poles])

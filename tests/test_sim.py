@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nosreg.chains import Exosystem, assemble_mimo, chain_plant, split_state
+from nosreg.chains import (Exosystem, NonlinearPlant, assemble_mimo, chain_plant,
+                           split_state)
 from nosreg.errors import DimensionMismatch, NonFiniteState
 from nosreg.modal import PoleSet, modal_coeffs, natural_response
 from nosreg.plants import REFERENCE_X0, benchmark_plant
@@ -27,11 +28,11 @@ def _benchmark_gains(poles=SLOW_POLES):
 
 class TestRK4Step:
     def test_zero_derivative_is_identity(self):
-        z = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(rk4_step(lambda t, z: 0 * z, 0.0, z, 0.1), z)
+        z = (1.0, -2.0, 3.0)
+        assert rk4_step(lambda t, z: (0.0, 0.0, 0.0), 0.0, z, 0.1) == z
 
     def test_exponential_decay_single_step(self):
-        z = rk4_step(lambda t, z: -z, 0.0, np.array([1.0]), 0.1)
+        z = rk4_step(lambda t, z: (-z[0],), 0.0, (1.0,), 0.1)
         assert z[0] == pytest.approx(0.9048375, abs=1e-12)
         assert z[0] == pytest.approx(math.exp(-0.1), abs=1e-7)
 
@@ -39,22 +40,33 @@ class TestRK4Step:
         S = np.array([[0.0, 1.0], [-1.0, 0.0]])
         h = 1e-3
         steps = int(math.pi / 2 / h)
-        w = np.array([1.0, 0.0])
+        w = (1.0, 0.0)
         t = 0.0
         for _ in range(steps):
-            w = rk4_step(lambda t, w: S @ w, t, w, h)
+            w = rk4_step(lambda t, w: tuple(S @ w), t, w, h)
             t += h
-        w = rk4_step(lambda t, w: S @ w, t, w, math.pi / 2 - t)
+        w = rk4_step(lambda t, w: tuple(S @ w), t, w, math.pi / 2 - t)
         np.testing.assert_allclose(w, [0.0, -1.0], atol=1e-9)
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(DimensionMismatch):
-            rk4_step(lambda t, z: z, 0.0, np.ones(1), 0.0)
+            SimConfig(step=0.0)
 
     def test_nonfinite_state_reported_with_time(self):
+        # dynamics that overflow to inf on the first step: the loop must stop
+        # there and report the time of the step that left the finite range
+        def dynamics(x, u):
+            return (x[0] * 1e308 * 10.0,)
+
+        plant = NonlinearPlant(state_dim=1, input_dim=1, degrees=(1,),
+                               dynamics=dynamics, output=lambda x: (x[0],),
+                               normal_map=lambda x: x,
+                               linearizing_feedback=lambda x, v: v)
+        exo = Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0])
+        cfg = SimConfig(step=0.5, horizon=2.0)
         with pytest.raises(NonFiniteState) as exc:
-            rk4_step(lambda t, z: z * np.inf, 2.0, np.ones(1), 0.5)
-        assert exc.value.t == pytest.approx(2.5)
+            simulate_nonlinear(plant, exo, None, (1.0,), cfg)
+        assert exc.value.t == cfg.step
 
 
 class TestSimulateLinear:
