@@ -3,8 +3,9 @@
 Candidates are drawn uniformly and independently, one coordinate per
 interval, and rejected unless strictly increasing with the required
 separation.  The first candidate whose certificate passes wins; any passing
-set is as good as any other, so there is no scoring beyond pass/fail.  The
-draw order is fixed by the seed, which makes runs reproducible.
+set is as good as any other, so there is no scoring beyond pass/fail.  Each
+candidate is drawn as its trial starts, in an order fixed by the seed: runs
+are reproducible and an early pass costs nothing for the unused budget.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ class SearchSpec:
                 raise DimensionMismatch(f"interval {i} must lie on the negative axis, hi = {hi}")
         if self.max_trials < 1:
             raise DimensionMismatch("max_trials must be positive")
+        if self.seed < 0:
+            raise DimensionMismatch(f"seed must be non-negative, got {self.seed}")
 
     @property
     def n(self) -> int:
@@ -64,16 +67,15 @@ def search(spec: SearchSpec, x0) -> tuple[PoleSet, Certificate, int]:
     x0 = as_vector(x0, length=spec.n)
     rng = np.random.default_rng(spec.seed)
     los = np.array([iv[0] for iv in spec.intervals])
-    his = np.array([iv[1] for iv in spec.intervals])
-    # One draw for the whole budget keeps the stream layout independent of
-    # how many trials end up being consumed.
-    draws = rng.uniform(los, his, size=(spec.max_trials, spec.n))
+    widths = np.array([iv[1] for iv in spec.intervals]) - los
 
     best_p: float | None = None
     best_poles: tuple[float, ...] | None = None
     for trial in range(spec.max_trials):
+        # Generator.uniform's own arithmetic: the stream of a one-shot draw
+        draw = los + widths * rng.random(spec.n)
         try:
-            poles = PoleSet(tuple(draws[trial]), sep_min=spec.sep_min)
+            poles = PoleSet(tuple(draw), sep_min=spec.sep_min)
             cert = certify(modal_coeffs(poles, x0))
         except (InvalidPoleSet, SingularMatrix):
             continue

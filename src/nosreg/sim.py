@@ -13,6 +13,7 @@ beats small-array overhead by an order of magnitude.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isfinite
 
@@ -97,7 +98,7 @@ def _rows(mat) -> tuple[tuple[float, ...], ...]:
 
 
 def _matvec(rows, vec) -> tuple[float, ...]:
-    return tuple(sum(a * b for a, b in zip(row, vec)) for row in rows)
+    return tuple([sum(map(operator.mul, row, vec)) for row in rows])
 
 
 def _integrate(deriv, z0, cfg: SimConfig, observe):
@@ -194,11 +195,13 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
 
 
 def detect_overshoot(times, errors, zero_band: float = DEFAULT_ZERO_BAND) -> OvershootReport:
-    """Classify each error component: did it ever cross zero beyond the band?
+    """Classify each error column: did it ever cross zero beyond the band?
 
-    The initial sign is taken from the first sample outside ``zero_band``; a
-    sign change is a later sample strictly beyond the band with the opposite
-    sign.  Components that never leave the band report no change.
+    The package's one sign-change rule; the acceptance sweeps apply it to
+    sampled modal responses too.  A column's initial sign is that of its
+    first sample outside ``zero_band``; a sign change is a later sample
+    strictly beyond the band with the opposite sign.  A column that never
+    leaves the band reports no change.
     """
     times = as_vector(times)
     e = np.asarray(errors, dtype=float)
@@ -206,27 +209,14 @@ def detect_overshoot(times, errors, zero_band: float = DEFAULT_ZERO_BAND) -> Ove
         e = e.reshape(-1, 1)
     if e.ndim != 2 or e.shape[0] != times.size or times.size == 0:
         raise DimensionMismatch("errors must provide one row per time sample")
-    changed, crossing, final = [], [], []
-    for j in range(e.shape[1]):
-        col = e[:, j]
-        out = np.abs(col) > zero_band
-        final.append(float(abs(col[-1])))
-        if not out.any():
-            changed.append(False)
-            crossing.append(None)
-            continue
-        first = int(np.argmax(out))
-        s0 = 1.0 if col[first] > 0 else -1.0
-        flipped = out & (s0 * col < -zero_band)
-        if flipped.any():
-            changed.append(True)
-            crossing.append(float(times[int(np.argmax(flipped))]))
-        else:
-            changed.append(False)
-            crossing.append(None)
-    return OvershootReport(sign_changed=tuple(changed),
-                           first_crossing_time=tuple(crossing),
-                           final_abs_error=tuple(final))
+    first = np.argmax(np.abs(e) > zero_band, axis=0)
+    s0 = np.where(e[first, np.arange(e.shape[1])] > 0.0, 1.0, -1.0)
+    flipped = s0 * e < -zero_band
+    changed = flipped.any(axis=0)
+    crossing = np.where(changed, times[np.argmax(flipped, axis=0)], None)
+    return OvershootReport(sign_changed=tuple(changed.tolist()),
+                           first_crossing_time=tuple(crossing.tolist()),
+                           final_abs_error=tuple(np.abs(e[-1]).tolist()))
 
 
 def write_csv(traj: Trajectory, path) -> None:

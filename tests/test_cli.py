@@ -174,6 +174,68 @@ def test_on_manifold_start_noted_in_summary(tmp_path, capsys):
     assert "certificate: trivial" in capsys.readouterr().out
 
 
+def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
+    # 1e-10 along the slowest mode's eigenvector: a tiny but nonzero
+    # transient, which the gains file records as p > 0
+    lam = SLOW_POLES[-1]
+    cfg_dict = reference_config_dict(poles=SLOW_POLES)
+    cfg_dict["initial"] = {"xi0": [1.0 + 1e-10, 1e-10 * lam,
+                                   -1.0 + 1e-10 * lam ** 2, 1e-10 * lam ** 3]}
+    cfg = _write(tmp_path / "c.json", cfg_dict)
+    out = tmp_path / "g.json"
+    assert main(["design", "--config", cfg, "--out", str(out)]) == 0
+    p_value = json.loads(out.read_text())["subsystems"][0]["p_value"]
+    assert p_value > 0
+    summary = capsys.readouterr().out
+    assert "trivial" not in summary
+    assert f"certificate: p = {p_value:.6g} > 0" in summary
+
+
+@pytest.mark.parametrize("field, value", [
+    ("degrees", 4),
+    ("degrees", [4.7]),
+    ("exosystem", 3),
+    ("initial", 3),
+    ("poles", [[-4.847, "a", -2.432, -0.1032]]),
+    ("sim", 3),
+    ("sim", {"step": "fast"}),
+], ids=["degrees-scalar", "degrees-fractional", "exosystem-scalar",
+        "initial-scalar", "pole-string", "sim-scalar", "sim-step-string"])
+def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value):
+    cfg_dict = reference_config_dict(poles=SLOW_POLES)
+    cfg_dict[field] = value
+    cfg = _write(tmp_path / "c.json", cfg_dict)
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "g.json")]) \
+        == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("poles", None),
+    ("p_value", "high"),
+], ids=["poles-missing", "p-value-string"])
+def test_malformed_gains_subsystem_exits_validation(tmp_path, config_path,
+                                                    field, value):
+    gains = tmp_path / "gains.json"
+    main(["design", "--config", config_path, "--out", str(gains)])
+    payload = json.loads(gains.read_text())
+    if value is None:
+        del payload["subsystems"][0][field]
+    else:
+        payload["subsystems"][0][field] = value
+    gains.write_text(json.dumps(payload))
+    code = main(["simulate", "--config", config_path, "--gains", str(gains),
+                 "--csv", str(tmp_path / "t.csv"), "--plot", str(tmp_path / "t.gp")])
+    assert code == EXIT_VALIDATION
+
+
+def test_negative_seed_exits_validation(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.json", reference_config_dict())
+    assert main(["search", "--config", cfg, "--seed", "-5",
+                 "--out", str(tmp_path / "g.json")]) == EXIT_VALIDATION
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
 def test_linear_config_simulation(tmp_path):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     cfg_dict["initial"] = {"xi0": [0.0, 2.0, -5.0, 4.0]}

@@ -44,6 +44,21 @@ def test_zero_initial_condition_passes_immediately():
     assert used <= 3      # only ordering rejections can precede the pass
 
 
+def test_budget_is_not_drawn_up_front():
+    # candidates are drawn per trial: a budget far beyond memory costs nothing
+    # when trial 1 passes, and the stream gives the same first candidate
+    zeros = np.zeros(4)
+    poles, cert, used = search(SearchSpec(intervals=BANDS, max_trials=2**60), zeros)
+    assert cert.passed and used == 1
+    assert poles.lambdas == search(SearchSpec(intervals=BANDS, max_trials=1),
+                                   zeros)[0].lambdas
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(DimensionMismatch):
+        SearchSpec(intervals=BANDS, seed=-5)
+
+
 def test_degenerate_intervals_exhaust():
     # identical point intervals can never satisfy strict ordering
     spec = SearchSpec(intervals=((-2.0, -2.0),) * 3, max_trials=50, seed=0)

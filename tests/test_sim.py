@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nosreg.chains import (Exosystem, NonlinearPlant, assemble_mimo, chain_plant,
                            split_state)
@@ -265,6 +268,40 @@ class TestDetectOvershoot:
         e = np.array([[1.0, -1.0], [0.5, -0.5], [-0.2, -0.1]])
         rep = detect_overshoot([0.0, 1.0, 2.0], e)
         assert rep.sign_changed == (True, False)
+        # columns leave the band at different samples, or never
+        t = [0.0, 1.0, 2.0, 3.0]
+        e = np.array([[0.0, 2.0, 1e-12, 0.0],
+                      [0.0, 1.0, -1e-12, -3.0],
+                      [0.5, 0.5, 0.0, 1.0],
+                      [-0.1, 0.25, 0.0, 2.0]])
+        rep = detect_overshoot(t, e)
+        assert rep.sign_changed == (True, False, False, True)
+        assert rep.first_crossing_time == (3.0, None, None, 2.0)
+        assert rep.final_abs_error == (0.1, 0.25, 0.0, 2.0)
+
+    @given(e=arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 4)),
+                    elements=st.sampled_from([-2.0, -1e-3, -1e-12, 0.0,
+                                              1e-12, 1e-3, 0.5, 2.0])),
+           zero_band=st.sampled_from([0.0, 1e-9, 1e-2]))
+    def test_matches_per_column_reference(self, e, zero_band):
+        # reference: the rule applied one column at a time; the arithmetic is
+        # the same, so the verdicts must be equal
+        t = np.arange(e.shape[0]) * 0.5
+        changed, crossing = [], []
+        for col in e.T:
+            out = np.abs(col) > zero_band
+            hit = None
+            if out.any():
+                s0 = 1.0 if col[int(np.argmax(out))] > 0 else -1.0
+                flipped = out & (s0 * col < -zero_band)
+                if flipped.any():
+                    hit = float(t[int(np.argmax(flipped))])
+            changed.append(hit is not None)
+            crossing.append(hit)
+        rep = detect_overshoot(t, e, zero_band)
+        assert rep.sign_changed == tuple(changed)
+        assert rep.first_crossing_time == tuple(crossing)
+        assert rep.final_abs_error == tuple(float(abs(v)) for v in e[-1])
 
 
 class TestCsvExport:
