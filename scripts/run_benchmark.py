@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from nosreg import (PoleSet, SimConfig, assemble_mimo, benchmark_plant,
-                    simulate_nonlinear, synthesize, write_csv)
+from nosreg import (PoleSet, SimConfig, benchmark_plant, simulate_nonlinear,
+                    synthesize, write_csv)
 from nosreg.acceptance import (POLES_FAST, POLES_MEDIUM, POLES_SLOW,
                                reference_exosystem)
 from nosreg.cli import gnuplot_script
@@ -33,7 +33,6 @@ def main() -> int:
 
     plant = benchmark_plant()
     exo = reference_exosystem()
-    mimo = assemble_mimo(plant.degrees)
     xi0 = plant.normal_map(REFERENCE_X0)
     cfg = SimConfig(step=1e-3, horizon=40.0, record_stride=10)
 
@@ -44,7 +43,7 @@ def main() -> int:
     print(f"{'design':<8} {'p-value':>9} {'max|u|':>10} {'|e| @ t=2':>10} "
           f"{'|e| @ end':>10} {'overshoot':>10}")
     for name, poles in runs:
-        gains = synthesize(mimo, exo, xi0, [poles])
+        gains = synthesize(plant.degrees, exo, xi0, [poles])
         t0 = time.perf_counter()
         traj, report = simulate_nonlinear(plant, exo, gains, REFERENCE_X0, cfg)
         elapsed = time.perf_counter() - t0

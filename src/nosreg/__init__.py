@@ -1,7 +1,8 @@
 """Nonovershooting output-regulation design for chain-of-integrator normal forms.
 
-Workflow: model the plant as a decoupled MIMO chain (or supply a
-feedback-linearizable :class:`~nosreg.chains.NonlinearPlant`), pick or search
+Workflow: describe the plant by the relative degree of each output channel
+(the linearizing feedback of a :class:`~nosreg.chains.NonlinearPlant` turns
+each channel into an integrator chain of that order), pick or search
 closed-loop poles whose sign-invariance certificate passes, synthesize the
 state-feedback + feedforward pair, and verify the nonovershooting guarantee
 by simulation.
@@ -9,8 +10,8 @@ by simulation.
 
 from .certificates import (Certificate, certify, certify_n2,
                            certify_n3_closedform)
-from .chains import (ChainSystem, Exosystem, MimoChain, NonlinearPlant,
-                     assemble_mimo, chain_plant, make_chain, split_state)
+from .chains import (ChainSystem, Exosystem, NonlinearPlant, assemble_mimo,
+                     chain_plant, make_chain, split_state)
 from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
                      InvalidOrder, InvalidPoleSet, NonFiniteState,
                      NosregError, SearchExhausted, SingularMatrix)
@@ -29,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BUILTIN_PLANTS", "Certificate", "CertificateFailed", "ChainSystem",
     "ConfigError", "DimensionMismatch", "Exosystem", "InvalidOrder",
-    "InvalidPoleSet", "MimoChain", "ModalDecomposition", "NonFiniteState",
+    "InvalidPoleSet", "ModalDecomposition", "NonFiniteState",
     "NonlinearPlant", "NosregError", "OvershootReport", "PoleSet",
     "REFERENCE_X0", "RegulatorGains", "SearchExhausted", "SearchSpec",
     "SimConfig", "SingularMatrix", "SubsystemGains", "Trajectory",

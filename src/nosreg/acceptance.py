@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import certify, certify_n2, certify_n3_closedform
-from .chains import Exosystem, assemble_mimo, make_chain
+from .chains import Exosystem, make_chain
 from .errors import SingularMatrix
 from .modal import PoleSet, modal_coeffs, moore_feedback, natural_response
 from .plants import REFERENCE_X0, benchmark_plant
@@ -159,10 +159,9 @@ def check_pole_placement() -> CriterionResult:
 def check_end_to_end_nonovershoot() -> CriterionResult:
     exo = reference_exosystem()
     plant = benchmark_plant()
-    mimo = assemble_mimo(plant.degrees)
     xi0 = plant.normal_map(REFERENCE_X0)
     cfg = SimConfig(step=1e-3, horizon=40.0, record_stride=10, zero_band=1e-9)
-    all_gains = [synthesize(mimo, exo, xi0, [PoleSet(p)])
+    all_gains = [synthesize(plant.degrees, exo, xi0, [PoleSet(p)])
                  for p in (POLES_SLOW, POLES_MEDIUM, POLES_FAST)]
     t0 = time.perf_counter()
     runs = [simulate_nonlinear(plant, exo, g, REFERENCE_X0, cfg) for g in all_gains]

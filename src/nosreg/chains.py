@@ -1,4 +1,4 @@
-"""Chain-of-integrator system models, the exosystem, and the nonlinear plant interface."""
+"""Integrator chains and their stacked layout, the exosystem, the nonlinear plant interface."""
 
 from __future__ import annotations
 
@@ -20,28 +20,6 @@ class ChainSystem:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class MimoChain:
-    """Decoupled MIMO chain-of-integrator system in block-diagonal form."""
-
-    degrees: tuple[int, ...]
-    Ac: np.ndarray
-    Bc: np.ndarray
-    Cc: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return sum(self.degrees)
-
-    @property
-    def num_outputs(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def blocks(self) -> tuple[ChainSystem, ...]:
-        return tuple(make_chain(g) for g in self.degrees)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,19 +79,23 @@ class NonlinearPlant:
     linearizing_feedback: Callable = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "degrees", assemble_mimo(self.degrees))
         if len(self.degrees) != self.input_dim:
             raise DimensionMismatch("one relative degree per input/output channel")
-        if any(g < 1 for g in self.degrees):
-            raise InvalidOrder("relative degrees must be positive")
         if sum(self.degrees) > self.state_dim:
             raise DimensionMismatch("total relative degree exceeds the state dimension")
 
 
-def make_chain(order: int) -> ChainSystem:
-    """Build the canonical chain of integrators of the given order."""
+def _positive_order(order) -> int:
+    """The relative-degree rule: a chain order is a positive integer."""
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise InvalidOrder(f"chain order must be a positive integer, got {order!r}")
-    n = int(order)
+    return int(order)
+
+
+def make_chain(order: int) -> ChainSystem:
+    """Build the canonical chain of integrators of the given order."""
+    n = _positive_order(order)
     A = np.zeros((n, n))
     A[np.arange(n - 1), np.arange(1, n)] = 1.0
     B = np.zeros((n, 1))
@@ -123,24 +105,23 @@ def make_chain(order: int) -> ChainSystem:
     return ChainSystem(order=n, A=A, B=B, C=C)
 
 
-def assemble_mimo(degrees: Sequence[int]) -> MimoChain:
-    """Assemble the block-diagonal MIMO chain for the given relative degrees."""
-    if len(degrees) == 0:
+def assemble_mimo(degrees: Sequence[int]) -> tuple[int, ...]:
+    """Validate the relative degrees of a decoupled MIMO chain; return them as a tuple.
+
+    The decoupled chain is fixed by its degrees alone: subsystem j is
+    ``make_chain(degrees[j])``, and its block of the stacked state is
+    ``block_slices(degrees)[j]``.
+    """
+    degrees = tuple(_positive_order(g) for g in degrees)
+    if not degrees:
         raise InvalidOrder("at least one subsystem is required")
-    blocks = [make_chain(g) for g in degrees]
-    gamma = sum(b.order for b in blocks)
-    p = len(blocks)
-    Ac = np.zeros((gamma, gamma))
-    Bc = np.zeros((gamma, p))
-    Cc = np.zeros((p, gamma))
-    at = 0
-    for j, b in enumerate(blocks):
-        g = b.order
-        Ac[at:at + g, at:at + g] = b.A
-        Bc[at:at + g, j] = b.B[:, 0]
-        Cc[j, at:at + g] = b.C[0]
-        at += g
-    return MimoChain(degrees=tuple(int(g) for g in degrees), Ac=Ac, Bc=Bc, Cc=Cc)
+    return degrees
+
+
+def block_slices(degrees: Sequence[int]) -> tuple[slice, ...]:
+    """Where each subsystem sits in the stacked state: block j is ``xi[slices[j]]``."""
+    ends = tuple(accumulate(degrees))
+    return tuple(slice(e - g, e) for e, g in zip(ends, degrees))
 
 
 def chain_plant(degrees: Sequence[int]) -> NonlinearPlant:
@@ -150,10 +131,10 @@ def chain_plant(degrees: Sequence[int]) -> NonlinearPlant:
     state, and outputs its first state, so the linear normal form runs
     through the same simulator as any feedback-linearizable plant.
     """
-    degrees = assemble_mimo(degrees).degrees
-    ends = tuple(accumulate(degrees))
-    lasts = tuple(e - 1 for e in ends)
-    heads = tuple(e - g for e, g in zip(ends, degrees))
+    degrees = assemble_mimo(degrees)
+    blocks = block_slices(degrees)
+    lasts = tuple(b.stop - 1 for b in blocks)
+    heads = tuple(b.start for b in blocks)
 
     def dynamics(x, u):
         dx = list(x[1:])
@@ -171,7 +152,7 @@ def chain_plant(degrees: Sequence[int]) -> NonlinearPlant:
     def feedback(x, v):
         return v
 
-    return NonlinearPlant(state_dim=ends[-1], input_dim=len(degrees), degrees=degrees,
+    return NonlinearPlant(state_dim=blocks[-1].stop, input_dim=len(degrees), degrees=degrees,
                           dynamics=dynamics, output=output, normal_map=identity,
                           linearizing_feedback=feedback)
 
@@ -183,9 +164,4 @@ def split_state(xi, degrees: Sequence[int]) -> tuple[np.ndarray, ...]:
     if v.size != gamma:
         raise DimensionMismatch(
             f"state has length {v.size}, expected sum(degrees) = {gamma}")
-    out = []
-    at = 0
-    for g in degrees:
-        out.append(v[at:at + g].copy())
-        at += g
-    return tuple(out)
+    return tuple(v[b].copy() for b in block_slices(degrees))

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .chains import (Exosystem, NonlinearPlant, assemble_mimo, chain_plant,
-                     split_state)
+                     make_chain, split_state)
 from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
                      InvalidOrder, InvalidPoleSet, NonFiniteState,
                      SearchExhausted, SingularMatrix)
-from .linalg import as_vector
+from .linalg import as_int, as_vector
 from .modal import DEFAULT_SEP_MIN, PoleSet
 from .plants import BUILTIN_PLANTS
 from .polesearch import DEFAULT_MAX_TRIALS, SearchSpec, search
@@ -88,11 +88,8 @@ def _config_errors(source: str):
 
 
 def _degrees(data: dict) -> tuple[int, ...]:
-    raw = _field(data, "degrees", "")
-    degrees = tuple(int(g) for g in raw)
-    if not degrees or any(g < 1 for g in degrees) or list(degrees) != raw:
-        raise ConfigError("'degrees' must be a nonempty list of positive integers")
-    return degrees
+    # JSON may spell a degree 4.0; the chain rule then checks every degree
+    return assemble_mimo([as_int(g, "degrees") for g in _field(data, "degrees", "")])
 
 
 def load_config(path) -> ProblemConfig:
@@ -170,15 +167,15 @@ def _parse_config(raw: dict) -> ProblemConfig:
             boxes.append(tuple((float(lo), float(hi)) for lo, hi in box))
         intervals = tuple(boxes)
 
-    # every SimConfig field is optional and read with its default's type
+    # every SimConfig field is optional; SimConfig checks and converts their types
     simc = raw.get("sim", {})
-    cfg = SimConfig(**{key: type(default)(_field(simc, key, "sim.", False, default))
+    cfg = SimConfig(**{key: _field(simc, key, "sim.", False, default)
                        for key, default in asdict(SimConfig()).items()})
     return ProblemConfig(
         degrees=degrees, exo=exo, plant=plant, plant_name=plant_name,
         x0=x0, xi0=xi0, pole_sets=pole_sets, intervals=intervals,
-        max_trials=int(srch.get("max_trials", DEFAULT_MAX_TRIALS)),
-        seed=int(srch.get("seed", 0)), sep_min=sep_min, sim=cfg)
+        max_trials=as_int(srch.get("max_trials", DEFAULT_MAX_TRIALS), "search.max_trials"),
+        seed=as_int(srch.get("seed", 0), "search.seed"), sep_min=sep_min, sim=cfg)
 
 
 def _gains_payload(cfg: ProblemConfig, gains, seed=None, trials=None) -> dict:
@@ -259,8 +256,7 @@ def cmd_design(config_path, out_path) -> int:
     cfg = load_config(config_path)
     if cfg.pole_sets is None:
         raise ConfigError("'design' needs explicit 'poles' in the config")
-    mimo = assemble_mimo(cfg.degrees)
-    gains = synthesize(mimo, cfg.exo, cfg.xi0, cfg.pole_sets)
+    gains = synthesize(cfg.degrees, cfg.exo, cfg.xi0, cfg.pole_sets)
     write_gains(out_path, _gains_payload(cfg, gains))
     _print_design_summary(cfg, gains, out_path)
     return EXIT_OK
@@ -272,12 +268,11 @@ def cmd_search(config_path, out_path, seed: int | None = None) -> int:
     if cfg.intervals is None:
         raise ConfigError("'search' needs 'intervals' in the config")
     base_seed = cfg.seed if seed is None else int(seed)
-    mimo = assemble_mimo(cfg.degrees)
     xi_blocks = split_state(cfg.xi0, cfg.degrees)
 
     found, trials = [], []
-    for j, chain in enumerate(mimo.blocks):
-        Pi_j, _ = solve_sylvester(chain, cfg.exo, cfg.exo.H[j:j + 1])
+    for j, g in enumerate(cfg.degrees):
+        Pi_j, _ = solve_sylvester(make_chain(g), cfg.exo, cfg.exo.H[j:j + 1])
         xt0_j = nominal_ic(xi_blocks[j], Pi_j, cfg.exo.w0)
         spec = SearchSpec(intervals=cfg.intervals[j], max_trials=cfg.max_trials,
                           seed=base_seed + j, sep_min=cfg.sep_min)
@@ -287,7 +282,7 @@ def cmd_search(config_path, out_path, seed: int | None = None) -> int:
         found.append(poles)
         trials.append(used)
 
-    gains = synthesize(mimo, cfg.exo, cfg.xi0, tuple(found))
+    gains = synthesize(cfg.degrees, cfg.exo, cfg.xi0, tuple(found))
     write_gains(out_path, _gains_payload(cfg, gains, seed=base_seed, trials=trials))
     _print_design_summary(cfg, gains, out_path)
     return EXIT_OK

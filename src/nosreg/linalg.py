@@ -44,6 +44,14 @@ def as_vector(a, length: int | None = None) -> np.ndarray:
     return v
 
 
+def as_int(value, name: str) -> int:
+    """Coerce an integral number to ``int``; a fractional or non-numeric value is an error."""
+    if not (isinstance(value, (int, np.integer))
+            or isinstance(value, float) and value.is_integer()):
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def lu_solve(A, B) -> np.ndarray:
     """Solve ``A @ X = B`` by LU elimination with partial pivoting.
 

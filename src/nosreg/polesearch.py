@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import Certificate, certify
 from .errors import DimensionMismatch, InvalidPoleSet, SearchExhausted, SingularMatrix
-from .linalg import as_vector
+from .linalg import as_int, as_vector
 from .modal import DEFAULT_SEP_MIN, PoleSet, modal_coeffs
 
 DEFAULT_MAX_TRIALS = 10_000
@@ -34,6 +34,8 @@ class SearchSpec:
     def __post_init__(self):
         ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
         object.__setattr__(self, "intervals", ivs)
+        object.__setattr__(self, "max_trials", as_int(self.max_trials, "max_trials"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if len(ivs) == 0:
             raise DimensionMismatch("at least one interval is required")
         for i, (lo, hi) in enumerate(ivs):

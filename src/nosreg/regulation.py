@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, certify
-from .chains import ChainSystem, Exosystem, MimoChain, split_state
+from .chains import (ChainSystem, Exosystem, assemble_mimo, block_slices,
+                     make_chain, split_state)
 from .errors import CertificateFailed, DimensionMismatch, SingularMatrix
 # lu_solve is unused here; the benchmark tracer patches nosreg.regulation.lu_solve
 from .linalg import as_matrix, as_vector, lu_solve
@@ -99,16 +100,17 @@ def design_subsystem(chain: ChainSystem, exo: Exosystem, H_row, xi0_j,
                           cert=cert, decomp=decomp)
 
 
-def synthesize(mimo: MimoChain, exo: Exosystem, xi0, pole_sets) -> RegulatorGains:
+def synthesize(degrees, exo: Exosystem, xi0, pole_sets) -> RegulatorGains:
     """Design nonovershooting regulation gains for every subsystem and assemble them.
 
     Parameters
     ----------
-    mimo : MimoChain
-        The decoupled normal-form system.
+    degrees : sequence of int
+        Relative degree of each output channel; subsystem j is the
+        integrator chain of order ``degrees[j]``.
     exo : Exosystem
         Reference generator; one H row per subsystem output.
-    xi0 : array_like, length mimo.order
+    xi0 : array_like, length sum(degrees)
         Normal-form initial condition, decomposed per subsystem internally.
     pole_sets : sequence of PoleSet
         One pole set per subsystem, sized to its order.
@@ -119,18 +121,20 @@ def synthesize(mimo: MimoChain, exo: Exosystem, xi0, pole_sets) -> RegulatorGain
         If any subsystem's certificate rejects its pole set; the exception
         names the subsystem and carries its p-value.
     """
-    p = mimo.num_outputs
+    degrees = assemble_mimo(degrees)
+    p = len(degrees)
     if exo.num_outputs != p:
         raise DimensionMismatch(
             f"exosystem generates {exo.num_outputs} references for {p} outputs")
     if len(pole_sets) != p:
         raise DimensionMismatch(f"need {p} pole sets, got {len(pole_sets)}")
-    xi_blocks = split_state(xi0, mimo.degrees)
+    xi_blocks = split_state(xi0, degrees)
 
     subs = []
-    for j, chain in enumerate(mimo.blocks):
+    for j, g in enumerate(degrees):
+        # make_chain only feeds solve_sylvester, whose signature bench/workloads.py calls
         try:
-            sub = design_subsystem(chain, exo, exo.H[j:j + 1], xi_blocks[j],
+            sub = design_subsystem(make_chain(g), exo, exo.H[j:j + 1], xi_blocks[j],
                                    pole_sets[j])
         except SingularMatrix as exc:
             raise SingularMatrix(f"subsystem {j}: {exc}",
@@ -139,14 +143,8 @@ def synthesize(mimo: MimoChain, exo: Exosystem, xi0, pole_sets) -> RegulatorGain
             raise CertificateFailed(j, sub.cert.p_value)
         subs.append(sub)
 
-    gamma = mimo.order
-    m = exo.dim
-    F = np.zeros((p, gamma))
-    G = np.zeros((p, m))
-    at = 0
-    for j, sub in enumerate(subs):
-        g = mimo.degrees[j]
-        F[j, at:at + g] = sub.F[0]
-        G[j] = sub.G[0]
-        at += g
+    F = np.zeros((p, sum(degrees)))
+    for j, (block, sub) in enumerate(zip(block_slices(degrees), subs)):
+        F[j, block] = sub.F[0]
+    G = np.vstack([sub.G for sub in subs])
     return RegulatorGains(subsystems=tuple(subs), F=F, G=G)

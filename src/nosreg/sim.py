@@ -21,7 +21,7 @@ import numpy as np
 
 from .chains import Exosystem, NonlinearPlant
 from .errors import DimensionMismatch, NonFiniteState
-from .linalg import as_vector
+from .linalg import as_int, as_vector
 from .regulation import RegulatorGains
 
 DEFAULT_ZERO_BAND = 1e-9
@@ -37,6 +37,9 @@ class SimConfig:
     zero_band: float = DEFAULT_ZERO_BAND
 
     def __post_init__(self):
+        for key in ("step", "horizon", "zero_band"):
+            object.__setattr__(self, key, float(getattr(self, key)))
+        object.__setattr__(self, "record_stride", as_int(self.record_stride, "record_stride"))
         if not (self.step > 0.0):
             raise DimensionMismatch("step must be positive")
         if self.horizon < self.step:

@@ -37,34 +37,34 @@ def test_make_chain_rejects_bad_orders(bad):
         make_chain(bad)
 
 
-def test_assemble_single_block_matches_chain():
-    m = assemble_mimo([2])
-    c = make_chain(2)
-    np.testing.assert_array_equal(m.Ac, c.A)
-    np.testing.assert_array_equal(m.Bc, c.B)
-    np.testing.assert_array_equal(m.Cc, c.C)
-
-
-def test_assemble_two_scalar_chains():
-    m = assemble_mimo([1, 1])
-    np.testing.assert_array_equal(m.Ac, np.zeros((2, 2)))
-    np.testing.assert_array_equal(m.Bc, np.eye(2))
-    np.testing.assert_array_equal(m.Cc, np.eye(2))
+def _block_diagonal(degrees):
+    """Oracle: the block-diagonal (Ac, Bc, Cc) of the decoupled chain from make_chain blocks."""
+    gamma, p = sum(degrees), len(degrees)
+    Ac, Bc, Cc = np.zeros((gamma, gamma)), np.zeros((gamma, p)), np.zeros((p, gamma))
+    at = 0
+    for j, g in enumerate(degrees):
+        c = make_chain(g)
+        Ac[at:at + g, at:at + g] = c.A
+        Bc[at:at + g, j] = c.B[:, 0]
+        Cc[j, at:at + g] = c.C[0]
+        at += g
+    return Ac, Bc, Cc
 
 
 def test_assemble_degrees_two_three():
     # hand-built from the block-diagonal definition
-    m = assemble_mimo([2, 3])
-    assert m.order == 5
+    assert assemble_mimo([2, 3]) == (2, 3)
     Ac = np.zeros((5, 5))
     Ac[0, 1] = Ac[2, 3] = Ac[3, 4] = 1.0
-    np.testing.assert_array_equal(m.Ac, Ac)
     Bc = np.zeros((5, 2))
     Bc[1, 0] = Bc[4, 1] = 1.0
-    np.testing.assert_array_equal(m.Bc, Bc)
     Cc = np.zeros((2, 5))
     Cc[0, 0] = Cc[1, 2] = 1.0
-    np.testing.assert_array_equal(m.Cc, Cc)
+    plant = chain_plant((2, 3))
+    x = np.arange(1.0, 6.0)
+    u = np.array([-7.0, 11.0])
+    np.testing.assert_array_equal(plant.dynamics(tuple(x), tuple(u)), Ac @ x + Bc @ u)
+    np.testing.assert_array_equal(plant.output(tuple(x)), Cc @ x)
 
 
 def test_assemble_rejects_empty_and_zero_degrees():
@@ -72,12 +72,6 @@ def test_assemble_rejects_empty_and_zero_degrees():
         assemble_mimo([])
     with pytest.raises(InvalidOrder):
         assemble_mimo([2, 0])
-
-
-@given(degrees=st.lists(st.integers(2, 5), min_size=1, max_size=4))
-def test_no_feedthrough_when_all_degrees_at_least_two(degrees):
-    m = assemble_mimo(degrees)
-    np.testing.assert_array_equal(m.Cc @ m.Bc, np.zeros((len(degrees),) * 2))
 
 
 @given(order=st.integers(1, 6))
@@ -92,14 +86,13 @@ def test_chain_controllability_matrix_is_permutation_of_identity(order):
 @pytest.mark.parametrize("degrees", [(4,), (2, 3), (1, 4, 2)])
 def test_chain_plant_matches_assembled_matrices(degrees):
     # the chain as a plant: xi' = Ac xi + Bc u, y = Cc xi, identity chain map, u = v
-    mimo = assemble_mimo(degrees)
+    Ac, Bc, Cc = _block_diagonal(degrees)
     plant = chain_plant(degrees)
     rng = np.random.default_rng(0)
-    x = tuple(rng.normal(size=mimo.order))
-    u = tuple(rng.normal(size=mimo.num_outputs))
-    np.testing.assert_array_equal(plant.dynamics(x, u),
-                                  mimo.Ac @ x + mimo.Bc @ u)
-    np.testing.assert_array_equal(plant.output(x), mimo.Cc @ x)
+    x = tuple(rng.normal(size=sum(degrees)))
+    u = tuple(rng.normal(size=len(degrees)))
+    np.testing.assert_array_equal(plant.dynamics(x, u), Ac @ x + Bc @ u)
+    np.testing.assert_array_equal(plant.output(x), Cc @ x)
     assert tuple(plant.normal_map(x)) == x
     assert tuple(plant.linearizing_feedback(x, u)) == u
 
@@ -146,3 +139,13 @@ def test_plant_validation():
     with pytest.raises(InvalidOrder):
         NonlinearPlant(state_dim=4, input_dim=1, degrees=(0,), dynamics=noop,
                        output=noop, normal_map=noop, linearizing_feedback=noop)
+
+
+def test_plant_degrees_follow_the_chain_rule():
+    noop = lambda *a: (0.0,)
+    with pytest.raises(InvalidOrder):
+        NonlinearPlant(state_dim=4, input_dim=1, degrees=(2.5,), dynamics=noop,
+                       output=noop, normal_map=noop, linearizing_feedback=noop)
+    plant = NonlinearPlant(state_dim=4, input_dim=1, degrees=[4], dynamics=noop,
+                           output=noop, normal_map=noop, linearizing_feedback=noop)
+    assert plant.degrees == (4,)

@@ -199,8 +199,12 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
     ("poles", [[-4.847, "a", -2.432, -0.1032]]),
     ("sim", 3),
     ("sim", {"step": "fast"}),
+    ("search", {"max_trials": 50.7}),
+    ("search", {"seed": 3.9}),
+    ("sim", {"record_stride": 2.5}),
 ], ids=["degrees-scalar", "degrees-fractional", "exosystem-scalar",
-        "initial-scalar", "pole-string", "sim-scalar", "sim-step-string"])
+        "initial-scalar", "pole-string", "sim-scalar", "sim-step-string",
+        "max-trials-fractional", "seed-fractional", "record-stride-fractional"])
 def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     cfg_dict[field] = value

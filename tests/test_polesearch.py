@@ -59,6 +59,17 @@ def test_negative_seed_rejected():
         SearchSpec(intervals=BANDS, seed=-5)
 
 
+def test_fractional_budget_and_seed_rejected():
+    # an integral float is an integer; a fractional one is not truncated
+    with pytest.raises(DimensionMismatch, match="max_trials"):
+        SearchSpec(((-2.0, -1.0),), max_trials=2.5)
+    with pytest.raises(DimensionMismatch, match="seed"):
+        SearchSpec(((-2.0, -1.0),), seed=3.9)
+    spec = SearchSpec(((-2.0, -1.0),), max_trials=50.0, seed=3.0)
+    assert (spec.max_trials, spec.seed) == (50, 3)
+    assert type(spec.max_trials) is int and type(spec.seed) is int
+
+
 def test_degenerate_intervals_exhaust():
     # identical point intervals can never satisfy strict ordering
     spec = SearchSpec(intervals=((-2.0, -2.0),) * 3, max_trials=50, seed=0)
