@@ -10,8 +10,8 @@ and ``p > 0`` guarantees no sign change for t >= 0.  The test is sufficient
 only: a failing p says nothing about the true response.
 
 Two low-order refinements are provided: a quadrant rule for n = 2 and
-closed-form expressions for n = 3 that serve as a cross-check of the numeric
-path.
+closed-form expressions for n = 3, the divided differences that
+``modal_coeffs`` computes for any n, written out.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def _score(alpha: np.ndarray) -> tuple[np.ndarray, float]:
     a = np.where(mag < SIGN_ATOL_REL * big, 0.0, alpha)
     last = int(np.nonzero(a)[0][-1])
     c = np.zeros(n - 1, dtype=int)
-    c[:last] = (a[:last] * a[last] < 0.0).astype(int)
+    # compare signs, not products: a product of tiny coefficients underflows to 0
+    c[:last] = (np.sign(a[:last]) == -np.sign(a[last])).astype(int)
     if last == 0:
         # single active mode: one decaying exponential never changes sign
         return c, float(mag[0])
@@ -101,9 +102,9 @@ def certify_n3_closedform(x0, poles: PoleSet) -> tuple[float, float, float, floa
 
     determine the modal coefficients through divided differences:
     alpha = (f2/d12/d13, -f3/d12/d23, f1/d13/d23) with d_ij = lam_i - lam_j.
-    The returned p is scored from that closed-form alpha; it must agree with
-    the numeric route (``certify`` on ``modal_coeffs``) to rounding, which is
-    the authoritative path.
+    The returned p is scored from that closed-form alpha.  ``modal_coeffs``
+    computes the same divided differences by the Bjorck-Pereyra recurrence,
+    so ``certify`` on it agrees with this p to rounding.
     """
     x0 = as_vector(x0, length=3)
     if poles.n != 3:

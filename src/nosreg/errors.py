@@ -6,7 +6,7 @@ class NosregError(Exception):
 
 
 class SingularMatrix(NosregError):
-    """A linear solve failed: vanishing pivot or unacceptable residual."""
+    """A linear solve failed: unacceptable residual, or a vanishing LU pivot (``pivot_index``)."""
 
     def __init__(self, message: str, pivot_index: int | None = None):
         self.pivot_index = pivot_index

@@ -1,12 +1,11 @@
-"""Small dense real-matrix kernel: validated construction and LU solving.
+"""Small dense real-matrix kernel: validated construction and an LU solve.
 
-Matrices are plain ``numpy.ndarray`` values (2-D, float64, row-major).
-Everything here targets the tiny systems of this package (n <= ~20), so a
-single partial-pivoting LU path with an explicit singularity threshold is
-preferred over general-purpose library solvers: near-coincident closed-loop
-poles must surface as :class:`~nosreg.errors.SingularMatrix`, not as garbage
-modal coefficients.  (The gains themselves are closed-form polynomial
-coefficients and need no solve.)
+Matrices are plain ``numpy.ndarray`` values (2-D, float64, row-major).  No
+library path solves a general linear system: on a chain the regulator pair,
+the feedback and the modal coefficients are all closed forms.  ``lu_solve``,
+a partial-pivoting LU with an explicit singularity threshold, stays only
+because the benchmark tracer patches ``nosreg.modal.lu_solve`` and
+``nosreg.regulation.lu_solve``; it goes with the next change to the benchmark.
 """
 
 from __future__ import annotations

@@ -137,8 +137,7 @@ def synthesize(degrees, exo: Exosystem, xi0, pole_sets) -> RegulatorGains:
             sub = design_subsystem(make_chain(g), exo, exo.H[j:j + 1], xi_blocks[j],
                                    pole_sets[j])
         except SingularMatrix as exc:
-            raise SingularMatrix(f"subsystem {j}: {exc}",
-                                 pivot_index=exc.pivot_index) from exc
+            raise SingularMatrix(f"subsystem {j}: {exc}") from exc
         if not sub.cert.passed:
             raise CertificateFailed(j, sub.cert.p_value)
         subs.append(sub)

@@ -56,6 +56,14 @@ class TestCertify:
         cert = _cert_for_alpha([-5.0, 1.0, 1e-14])
         assert not cert.passed
 
+    def test_verdict_does_not_depend_on_scale(self):
+        # alpha ~ (1, -2, 1) opposes the slowest mode at any scale; a sign
+        # test by products would see 1e-277 * 1e-277 underflow to zero
+        for scale in (1.0, 1e-160, 1e-277):
+            cert = _cert_for_alpha([scale, -2.0 * scale, scale])
+            assert cert.c == (0, 1)
+            assert not cert.passed
+
     @given(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=6),
            st.sampled_from([1.0, -1.0]))
     def test_single_sign_mixture_always_passes(self, mags, sign):

@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from nosreg.certificates import SIGN_ATOL_REL, certify
 from nosreg.chains import make_chain
-from nosreg.errors import InvalidPoleSet
+from nosreg.errors import InvalidPoleSet, SingularMatrix
 from nosreg.modal import (PoleSet, modal_coeffs, moore_feedback,
                           natural_response, vandermonde)
 from nosreg.sim import rk4_step
@@ -176,6 +179,128 @@ class TestModalCoeffs:
             d = modal_coeffs(SLOW_POLES, x0)
             tol = 1e-9 * max(1.0, np.max(np.abs(x0)))
             assert np.max(np.abs(d.V @ d.alpha - x0)) <= tol
+
+    def test_repeated_pole_is_singular(self):
+        # sep_min = 0 admits a repeated pole; V is singular and says so
+        poles = PoleSet((-2.0, -1.0, -1.0), sep_min=0.0)
+        with pytest.raises(SingularMatrix):
+            modal_coeffs(poles, [1.0, 0.5, 0.25])
+
+    def test_overflowing_basis_is_rejected(self):
+        # lam^2 overflows V to inf, so the residual is NaN; NaN > tol is
+        # False, and only a guard written as "not resid <= tol" rejects it
+        poles = PoleSet((-1e200, -1e100, -1.0))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularMatrix):
+            modal_coeffs(poles, [1.0, 1.0, 1.0])
+
+
+def _exact_inverse(lams):
+    """V^{-1} for V[i][j] = lams[j]**i, by Gauss-Jordan elimination in rationals."""
+    n = len(lams)
+    exact = [Fraction(lam) for lam in lams]
+    rows = [[lam ** i for lam in exact] + [Fraction(int(i == k)) for k in range(n)]
+            for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _exact_p(alpha):
+    """certify's p-score of exact coefficients, its negligible-coefficient rule included."""
+    mag = [abs(a) for a in alpha]
+    thr = Fraction(SIGN_ATOL_REL) * max(mag)
+    active = [k for k, m in enumerate(mag) if m >= thr and m != 0]
+    last = active[-1]
+    if last == 0:
+        return mag[0]
+    c = [int(k in active and alpha[k] * alpha[last] < 0) for k in range(last)]
+    return mag[last] + (1 - c[last - 1]) * mag[last - 1] - sum(
+        ck * mk for ck, mk in zip(c, mag))
+
+
+# offsets down to 1e-250, so products of coefficients can underflow while
+# the solve itself stays clear of subnormal numbers
+offsets = st.floats(-2.0, 2.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-250)
+
+
+@st.composite
+def oracle_cases(draw):
+    """An admissible pole set (order 2-6, gaps 0.05-3) with an offset x0.
+
+    Half the offsets are random; the other half are built as x0 = V alpha
+    (rounded to floats) from an alpha whose p-score is a tiny delta of
+    either sign, so the verdict sits at the edge of the certificate.
+    """
+    n = draw(st.integers(2, 6))
+    lams = [draw(st.floats(-3.0, -0.05))]
+    for _ in range(n - 1):
+        lams.insert(0, lams[0] - draw(st.floats(0.05, 3.0)))
+    if not draw(st.booleans()):
+        return tuple(lams), draw(st.lists(offsets, min_size=n, max_size=n))
+    # slowest mode alpha_n > 0 opposed by alpha_{n-1}, so p = |alpha_n| - sum
+    # of the opposed magnitudes, and |alpha_n| is fixed by p = delta
+    alpha = [Fraction(draw(st.sampled_from((-1, 1)))) * Fraction(draw(st.floats(0.1, 1.0)))
+             for _ in range(n - 1)]
+    alpha[-1] = -abs(alpha[-1])
+    delta = draw(st.sampled_from((-1, 1))) * 10.0 ** draw(st.integers(-14, -2))
+    alpha.append(Fraction(delta) + sum(-a for a in alpha if a < 0))
+    x0 = [float(sum(Fraction(lam) ** i * a for lam, a in zip(lams, alpha)))
+          for i in range(n)]
+    return tuple(lams), x0
+
+
+class TestExactOracle:
+    # V alpha = x0 solved in exact rationals, independent of the library's
+    # recurrence, judges both the float alpha and the certificate verdict
+
+    @settings(deadline=None, max_examples=300)
+    @given(case=oracle_cases())
+    def test_alpha_and_verdict_match_exact_rationals(self, case):
+        lams, x0 = case
+        n = len(lams)
+        try:
+            d = modal_coeffs(PoleSet(lams), x0)
+        except SingularMatrix:
+            reject()   # the residual guard's own rejections are not judged here
+        Vinv = _exact_inverse(lams)
+        xs = [Fraction(v) for v in d.x0]
+        exact = [sum(r * x for r, x in zip(row, xs)) for row in Vinv]
+        # componentwise condition |V^{-1}| |V| |alpha|: the error one
+        # refinement step leaves from the rounding of the residual V alpha - x0
+        mixed = [sum(abs(Fraction(lam) ** i * a) for lam, a in zip(lams, exact))
+                 for i in range(n)]
+        eps = np.finfo(float).eps
+        err = [4 * n * eps * float(sum(abs(r) * m for r, m in zip(row, mixed)))
+               for row in Vinv]
+        for a, e, bound in zip(d.alpha, exact, err):
+            assert abs(Fraction(float(a)) - e) <= Fraction(bound)
+
+        cert = certify(d)
+        if not any(exact):
+            assert cert.passed
+            return
+        # the verdict must be exact's whenever rounding cannot decide it:
+        # every coefficient clearly on one side of the negligible threshold,
+        # the slowest active one of known sign, and |p| beyond its rounding
+        big = max(abs(e) for e in exact)
+        lo = float(SIGN_ATOL_REL * (big - max(err)))
+        hi = float(SIGN_ATOL_REL * (big + max(err)))
+        mags = [abs(float(e)) for e in exact]
+        if any(m - b <= hi and m + b >= lo for m, b in zip(mags, err)):
+            return
+        last = max(k for k, m in enumerate(mags) if m > hi)
+        if mags[last] <= err[last]:
+            return
+        p = _exact_p(exact)
+        rounding = 4 * sum(err) + (n + 2) * eps * float(np.abs(d.alpha).sum())
+        if abs(p) > rounding:
+            assert cert.passed == (p > 0)
 
 
 class TestNaturalResponse:
