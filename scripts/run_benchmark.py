@@ -50,8 +50,8 @@ def main() -> int:
 
         csv_path = outdir / f"benchmark_{name}.csv"
         plot_path = outdir / f"benchmark_{name}.gp"
-        write_csv(traj, csv_path)
-        plot_path.write_text(gnuplot_script(csv_path, plot_path, 4, 2, 1))
+        columns = write_csv(traj, csv_path)
+        plot_path.write_text(gnuplot_script(csv_path, plot_path, columns))
 
         at2 = int(np.argmin(np.abs(traj.times - 2.0)))
         print(f"{name:<8} {gains.subsystems[0].cert.p_value:>9.4f} "
@@ -63,9 +63,9 @@ def main() -> int:
     traj0, _ = simulate_nonlinear(plant, exo, None, REFERENCE_X0,
                                   SimConfig(step=1e-3, horizon=5.0))
     csv_path = outdir / "benchmark_openloop.csv"
-    write_csv(traj0, csv_path)
+    columns = write_csv(traj0, csv_path)
     (outdir / "benchmark_openloop.gp").write_text(
-        gnuplot_script(csv_path, outdir / "benchmark_openloop.gp", 4, 2, 1))
+        gnuplot_script(csv_path, outdir / "benchmark_openloop.gp", columns))
     print(f"open-loop linearization effort over [0, 5]: max|u| = "
           f"{np.max(np.abs(traj0.u)):.1f}")
     print(f"outputs in {outdir}/ (render plots with: gnuplot {outdir}/*.gp)")

@@ -26,7 +26,7 @@ from .chains import Exosystem, make_chain
 from .errors import SingularMatrix
 from .modal import PoleSet, modal_coeffs, moore_feedback, natural_response
 from .plants import REFERENCE_X0, benchmark_plant
-from .regulation import nominal_ic, solve_sylvester, synthesize
+from .regulation import solve_sylvester, synthesize
 from .sim import SimConfig, detect_overshoot, simulate_nonlinear
 
 # --- the bundled scenario -------------------------------------------------
@@ -110,13 +110,17 @@ def check_sylvester_reproduction() -> CriterionResult:
                    f"best runtime {best * 1e6:.0f} us (limit 1 ms)")
 
 
+def _slow_design():
+    """The library's design of the bundled scenario with the slow pole set."""
+    plant = benchmark_plant()
+    return synthesize(plant.degrees, reference_exosystem(),
+                      plant.normal_map(REFERENCE_X0), [PoleSet(POLES_SLOW)])
+
+
 def check_gain_reproduction() -> CriterionResult:
-    exo = reference_exosystem()
-    Pi, Gamma = solve_sylvester(make_chain(4), exo, EXO_H)
-    F = moore_feedback(PoleSet(POLES_SLOW))
-    G = Gamma - F @ Pi
-    f_err = np.abs(F[0] - np.array(EXPECTED_F_SLOW)).max()
-    g_err = np.abs(G[0] - np.array(EXPECTED_G_SLOW)).max()
+    gains = _slow_design()
+    f_err = np.abs(gains.F[0] - np.array(EXPECTED_F_SLOW)).max()
+    g_err = np.abs(gains.G[0] - np.array(EXPECTED_G_SLOW)).max()
     ok = f_err <= 0.05 and g_err <= 0.05
     return _result("gain-reproduction", ok,
                    f"|F - expected| <= {f_err:.3g}, |G - expected| <= {g_err:.3g} "
@@ -124,17 +128,13 @@ def check_gain_reproduction() -> CriterionResult:
 
 
 def check_modal_coefficients() -> CriterionResult:
-    exo = reference_exosystem()
-    plant = benchmark_plant()
-    Pi, _ = solve_sylvester(make_chain(4), exo, EXO_H)
-    xt0 = nominal_ic(plant.normal_map(REFERENCE_X0), Pi, exo.w0)
-    decomp = modal_coeffs(PoleSet(POLES_SLOW), xt0)
-    cert = certify(decomp)
-    a_err = np.abs(decomp.alpha - np.array(EXPECTED_ALPHA_SLOW)).max()
-    ok = a_err <= 5e-4 and cert.passed and abs(cert.p_value - EXPECTED_P_SLOW) <= 2e-3
+    sub = _slow_design().subsystems[0]
+    a_err = np.abs(sub.decomp.alpha - np.array(EXPECTED_ALPHA_SLOW)).max()
+    ok = (a_err <= 5e-4 and sub.cert.passed
+          and abs(sub.cert.p_value - EXPECTED_P_SLOW) <= 2e-3)
     return _result("modal-coefficients", ok,
                    f"|alpha - expected| <= {a_err:.2e} (tol 5e-4), "
-                   f"p = {cert.p_value:.4f} > 0")
+                   f"p = {sub.cert.p_value:.4f} > 0")
 
 
 def check_pole_placement() -> CriterionResult:

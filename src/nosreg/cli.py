@@ -79,17 +79,32 @@ def _field(data: dict, key: str, path: str, required: bool = True, default=None)
 
 
 @contextmanager
-def _config_errors(source: str):
-    """Report a wrong-typed field (a string for a number, ...) as a ConfigError."""
+def _config_errors(what: str):
+    """Report a wrong-typed field (a string for a number, ...) as ``what: <reason>``."""
     try:
         yield
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source} has a malformed field: {exc}") from exc
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _degrees(data: dict) -> tuple[int, ...]:
     # JSON may spell a degree 4.0; the chain rule then checks every degree
     return assemble_mimo([as_int(g, "degrees") for g in _field(data, "degrees", "")])
+
+
+def _per_subsystem(raw: dict, key: str, degrees, convert):
+    """Length-check and convert the per-subsystem lists ``raw[key]``; None if absent."""
+    if key not in raw:
+        return None
+    with _config_errors(f"malformed field '{key}'"):
+        lists = raw[key]
+        if len(lists) != len(degrees):
+            raise ConfigError(f"'{key}' must list one entry per subsystem ({len(degrees)})")
+        for j, (items, g) in enumerate(zip(lists, degrees)):
+            if len(items) != g:
+                raise ConfigError(f"{key}[{j}] has {len(items)} entries, "
+                                  f"subsystem order is {g}")
+        return tuple(convert(items) for items in lists)
 
 
 def load_config(path) -> ProblemConfig:
@@ -101,76 +116,61 @@ def load_config(path) -> ProblemConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: "
                           f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    with _config_errors(f"config {path}"):
+    with _config_errors(f"config {path} has a malformed field"):
         return _parse_config(raw)
 
 
 def _parse_config(raw: dict) -> ProblemConfig:
-    degrees = _degrees(raw)
+    with _config_errors("malformed field 'degrees'"):
+        degrees = _degrees(raw)
     p = len(degrees)
     gamma = sum(degrees)
 
     exo_raw = _field(raw, "exosystem", "")
-    exo = Exosystem(S=_field(exo_raw, "S", "exosystem."),
-                    H=_field(exo_raw, "H", "exosystem."),
-                    w0=_field(exo_raw, "w0", "exosystem."))
+    with _config_errors("malformed field 'exosystem'"):
+        exo = Exosystem(S=_field(exo_raw, "S", "exosystem."),
+                        H=_field(exo_raw, "H", "exosystem."),
+                        w0=_field(exo_raw, "w0", "exosystem."))
     if exo.num_outputs != p:
         raise ConfigError(f"exosystem.H has {exo.num_outputs} rows, expected {p}")
 
     init = _field(raw, "initial", "")
-    plant_name = None
-    if "plant" in init:
-        plant_name = init["plant"]
-        if plant_name not in BUILTIN_PLANTS:
+    plant_name = _field(init, "plant", "initial.", required=False)
+    xi0 = _field(init, "xi0", "initial.", required=False)
+    if plant_name is not None:
+        if not isinstance(plant_name, str) or plant_name not in BUILTIN_PLANTS:
             raise ConfigError(f"unknown plant '{plant_name}'; "
                               f"available: {sorted(BUILTIN_PLANTS)}")
         plant = BUILTIN_PLANTS[plant_name]()
         if plant.degrees != degrees:
             raise ConfigError(f"plant '{plant_name}' has degrees {plant.degrees}, "
                               f"config says {degrees}")
-        x0 = as_vector(_field(init, "x0", "initial."), length=plant.state_dim)
+        with _config_errors("malformed field 'initial.x0'"):
+            x0 = as_vector(_field(init, "x0", "initial."), length=plant.state_dim)
         xi0 = as_vector(plant.normal_map(x0), length=gamma)
-    elif "xi0" in init:
+    elif xi0 is not None:
         # the normal form itself is the plant: identity chain map, u = v
         plant = chain_plant(degrees)
-        x0 = xi0 = as_vector(init["xi0"], length=gamma)
+        with _config_errors("malformed field 'initial.xi0'"):
+            x0 = xi0 = as_vector(xi0, length=gamma)
     else:
         raise ConfigError("'initial' needs either 'xi0' or 'plant' + 'x0'")
 
     srch = raw.get("search", {})
-    sep_min = float(_field(srch, "sep_min", "search.",
-                           required=False, default=DEFAULT_SEP_MIN))
+    with _config_errors("malformed field 'search.sep_min'"):
+        sep_min = float(_field(srch, "sep_min", "search.",
+                               required=False, default=DEFAULT_SEP_MIN))
 
-    pole_sets = None
-    if "poles" in raw:
-        lists = raw["poles"]
-        if len(lists) != p:
-            raise ConfigError(f"'poles' must list one pole set per subsystem ({p})")
-        sets = []
-        for j, lams in enumerate(lists):
-            if len(lams) != degrees[j]:
-                raise ConfigError(f"poles[{j}] has {len(lams)} entries, "
-                                  f"subsystem order is {degrees[j]}")
-            sets.append(PoleSet(tuple(float(l) for l in lams), sep_min=sep_min))
-        pole_sets = tuple(sets)
-
-    intervals = None
-    if "intervals" in raw:
-        lists = raw["intervals"]
-        if len(lists) != p:
-            raise ConfigError(f"'intervals' must list one box per subsystem ({p})")
-        boxes = []
-        for j, box in enumerate(lists):
-            if len(box) != degrees[j]:
-                raise ConfigError(f"intervals[{j}] has {len(box)} intervals, "
-                                  f"subsystem order is {degrees[j]}")
-            boxes.append(tuple((float(lo), float(hi)) for lo, hi in box))
-        intervals = tuple(boxes)
+    pole_sets = _per_subsystem(raw, "poles", degrees, lambda lams: PoleSet(
+        tuple(float(l) for l in lams), sep_min=sep_min))
+    intervals = _per_subsystem(raw, "intervals", degrees, lambda box: tuple(
+        (float(lo), float(hi)) for lo, hi in box))
 
     # every SimConfig field is optional; SimConfig checks and converts their types
     simc = raw.get("sim", {})
-    cfg = SimConfig(**{key: _field(simc, key, "sim.", False, default)
-                       for key, default in asdict(SimConfig()).items()})
+    with _config_errors("malformed field 'sim'"):
+        cfg = SimConfig(**{key: _field(simc, key, "sim.", False, default)
+                           for key, default in asdict(SimConfig()).items()})
     return ProblemConfig(
         degrees=degrees, exo=exo, plant=plant, plant_name=plant_name,
         x0=x0, xi0=xi0, pole_sets=pole_sets, intervals=intervals,
@@ -217,7 +217,7 @@ def load_gains(path, cfg: ProblemConfig) -> LoadedGains:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"gains file {path} is not valid JSON: "
                           f"line {exc.lineno}: {exc.msg}") from exc
-    with _config_errors(f"gains file {path}"):
+    with _config_errors(f"gains file {path} has a malformed field"):
         degrees = _degrees(raw)
         if degrees != cfg.degrees:
             raise ConfigError(f"gains were designed for degrees {degrees}, "
@@ -288,13 +288,12 @@ def cmd_search(config_path, out_path, seed: int | None = None) -> int:
     return EXIT_OK
 
 
-def gnuplot_script(csv_path, plot_path, n: int, m: int, p: int) -> str:
-    e0 = 1 + n + m + 2 * p + 1
-    u0 = 1 + n + m + 3 * p + 1
-    err_plots = ", ".join(
-        f"csv using 1:{e0 + j} with lines title 'e{j + 1}'" for j in range(p))
-    inp_plots = ", ".join(
-        f"csv using 1:{u0 + j} with lines title 'u{j + 1}'" for j in range(p))
+def gnuplot_script(csv_path, plot_path, columns) -> str:
+    """Gnuplot script for the ``e*`` and ``u*`` columns of ``write_csv``'s header ``columns``."""
+    def plots(block):
+        return ", ".join(f"csv using 1:{i + 1} with lines title '{name}'"
+                         for i, name in enumerate(columns) if name[0] == block)
+
     img = str(Path(plot_path).with_suffix(".png"))
     return (
         "# generated plot script: tracking errors and control inputs\n"
@@ -306,9 +305,9 @@ def gnuplot_script(csv_path, plot_path, n: int, m: int, p: int) -> str:
         "set grid\n"
         "set xlabel 't [s]'\n"
         "set title 'tracking errors'\n"
-        f"plot {err_plots}\n"
+        f"plot {plots('e')}\n"
         "set title 'control inputs'\n"
-        f"plot {inp_plots}\n"
+        f"plot {plots('u')}\n"
         "unset multiplot\n"
     )
 
@@ -318,13 +317,12 @@ def cmd_simulate(config_path, gains_path, csv_path, plot_path) -> int:
     cfg = load_config(config_path)
     gains = load_gains(gains_path, cfg)
     traj, report = simulate_nonlinear(cfg.plant, cfg.exo, gains, cfg.x0, cfg.sim)
-    write_csv(traj, csv_path)
-    n, m, p = traj.x.shape[1], traj.w.shape[1], traj.y.shape[1]
-    Path(plot_path).write_text(gnuplot_script(csv_path, plot_path, n, m, p))
+    columns = write_csv(traj, csv_path)
+    Path(plot_path).write_text(gnuplot_script(csv_path, plot_path, columns))
     print(f"trajectory written to {csv_path} ({len(traj.times)} samples), "
           f"plot script to {plot_path}")
-    for j in range(p):
-        if report.sign_changed[j]:
+    for j, changed in enumerate(report.sign_changed):
+        if changed:
             print(f"output {j + 1}: OVERSHOOT, error changes sign at "
                   f"t = {report.first_crossing_time[j]:.6g} s")
         else:

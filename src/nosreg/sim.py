@@ -6,15 +6,17 @@ form as the plant :func:`~nosreg.chains.chain_plant` (identity chain map,
 ``u = v``).  Classical RK4 on a uniform grid, with the exosystem integrated
 jointly with the plant.  Fixed stepping keeps runs deterministic (identical
 inputs give byte-identical trajectories) and makes sample-bracket overshoot
-detection well defined.  The integration loop works on plain Python floats:
-the state vectors here have a handful of components, where float arithmetic
-beats small-array overhead by an order of magnitude.
+detection well defined.  One loop steps the state on plain Python floats
+(a handful of components, where float arithmetic beats small-array overhead
+by an order of magnitude) and keeps every ``record_stride``-th state; the
+outputs are evaluated from the kept states afterwards.  The
+:class:`Trajectory` field order is the CSV column order.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isfinite
 
 import numpy as np
@@ -104,38 +106,6 @@ def _matvec(rows, vec) -> tuple[float, ...]:
     return tuple([sum(map(operator.mul, row, vec)) for row in rows])
 
 
-def _integrate(deriv, z0, cfg: SimConfig, observe):
-    """Run the fixed grid, recording ``observe(t, z)`` every ``record_stride`` steps."""
-    total = int(round(cfg.horizon / cfg.step))
-    h = cfg.step
-    z = tuple(float(v) for v in z0)
-    times = [0.0]
-    states = [z]
-    t = 0.0
-    try:
-        records = [observe(0.0, z)]
-        for k in range(total):
-            t = (k + 1) * h
-            z = rk4_step(deriv, k * h, z, h)
-            if not all(map(isfinite, z)):
-                raise NonFiniteState(t)
-            if (k + 1) % cfg.record_stride == 0:
-                times.append(t)
-                states.append(z)
-                records.append(observe(t, z))
-    except OverflowError as exc:
-        # float exponentiation overflow inside a plant map: same diagnosis as
-        # a NaN/Inf state, the loop has escaped to infinity
-        raise NonFiniteState(t) from exc
-    return np.array(times), np.array(states), records
-
-
-def _assemble(times, states, records, n: int) -> Trajectory:
-    y, r, e, u, v = (np.array([rec[i] for rec in records]) for i in range(5))
-    return Trajectory(times=times, x=states[:, :n], w=states[:, n:],
-                      y=y, r=r, e=e, u=u, v=v)
-
-
 def _gain_rows(gains: RegulatorGains | None, p: int, gamma: int, m: int):
     """Rows of the stacked gain ``[F G]``, so that ``v = [F G] (xi, w)``."""
     if gains is None:
@@ -182,18 +152,32 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
         v, u = control(x, w)
         return tuple(dynamics(x, u)) + _matvec(S_rows, w)
 
-    def observe(t, z):
-        x = z[:n]
-        w = z[n:]
-        v, u = control(x, w)
-        y = tuple(output(x))
-        r = _matvec(H_rows, w)
-        e = tuple(ri - yi for ri, yi in zip(r, y))
-        return y, r, e, tuple(u), v
-
-    z0 = tuple(x0) + tuple(exo.w0)
-    times, states, records = _integrate(deriv, z0, cfg, observe)
-    traj = _assemble(times, states, records, n)
+    h = cfg.step
+    # tolist() gives Python floats; np.float64 elements would run the loop
+    # on numpy scalars, with the same bytes but markedly slower
+    z = tuple(x0.tolist() + exo.w0.tolist())
+    times, states, rows = [0.0], [z], []
+    try:
+        for k in range(int(round(cfg.horizon / h))):
+            t = (k + 1) * h
+            z = rk4_step(deriv, k * h, z, h)
+            if not all(map(isfinite, z)):
+                raise NonFiniteState(t)
+            if (k + 1) % cfg.record_stride == 0:
+                times.append(t)
+                states.append(z)
+        for t, z in zip(times, states):
+            x, w = z[:n], z[n:]
+            v, u = control(x, w)
+            y, r = tuple(output(x)), _matvec(H_rows, w)
+            rows.append(y + r + tuple(ri - yi for ri, yi in zip(r, y)) + tuple(u) + v)
+    except OverflowError as exc:
+        # float exponentiation overflow inside a plant map: same diagnosis as
+        # a NaN/Inf state, the loop has escaped to infinity
+        raise NonFiniteState(t) from exc
+    # each row holds y, r, e, u, v: with t, x, w that is the Trajectory field order
+    traj = Trajectory(np.array(times), *np.hsplit(np.array(states), [n]),
+                      *np.hsplit(np.array(rows), 5))
     return traj, detect_overshoot(traj.times, traj.e, cfg.zero_band)
 
 
@@ -222,21 +206,19 @@ def detect_overshoot(times, errors, zero_band: float = DEFAULT_ZERO_BAND) -> Ove
                            final_abs_error=tuple(np.abs(e[-1]).tolist()))
 
 
-def write_csv(traj: Trajectory, path) -> None:
-    """Dump a trajectory as CSV: t, x*, w*, y*, r*, e*, u*, v* at full precision."""
-    n = traj.x.shape[1]
-    m = traj.w.shape[1]
-    p = traj.y.shape[1]
-    header = (["t"]
-              + [f"x{i + 1}" for i in range(n)]
-              + [f"w{i + 1}" for i in range(m)]
-              + [f"y{i + 1}" for i in range(p)]
-              + [f"r{i + 1}" for i in range(p)]
-              + [f"e{i + 1}" for i in range(p)]
-              + [f"u{i + 1}" for i in range(p)]
-              + [f"v{i + 1}" for i in range(p)])
-    blocks = np.hstack([traj.times[:, None], traj.x, traj.w, traj.y, traj.r,
-                        traj.e, traj.u, traj.v])
+def write_csv(traj: Trajectory, path) -> list[str]:
+    """Dump a trajectory as CSV at full precision and return the header.
+
+    The columns are ``t``, then one block per further :class:`Trajectory`
+    field in field order: ``x*``, ``w*``, ``y*``, ``r*``, ``e*``, ``u*``, ``v*``.
+    """
+    header, blocks = [], []
+    for f in fields(Trajectory):
+        block = getattr(traj, f.name)
+        header += ([f"{f.name}{i + 1}" for i in range(block.shape[1])]
+                   if block.ndim == 2 else ["t"])
+        blocks.append(block)
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, blocks, fmt="%.17g", delimiter=",",
+        np.savetxt(fh, np.column_stack(blocks), fmt="%.17g", delimiter=",",
                    header=",".join(header), comments="")
+    return header

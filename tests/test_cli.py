@@ -191,27 +191,31 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
     assert f"certificate: p = {p_value:.6g} > 0" in summary
 
 
-@pytest.mark.parametrize("field, value", [
-    ("degrees", 4),
-    ("degrees", [4.7]),
-    ("exosystem", 3),
-    ("initial", 3),
-    ("poles", [[-4.847, "a", -2.432, -0.1032]]),
-    ("sim", 3),
-    ("sim", {"step": "fast"}),
-    ("search", {"max_trials": 50.7}),
-    ("search", {"seed": 3.9}),
-    ("sim", {"record_stride": 2.5}),
+@pytest.mark.parametrize("field, value, named", [
+    ("degrees", 4, "'degrees'"),
+    ("degrees", [4.7], "degrees"),
+    ("exosystem", 3, "'exosystem'"),
+    ("initial", 3, "'initial'"),
+    ("poles", [[-4.847, "a", -2.432, -0.1032]], "'poles'"),
+    ("sim", 3, "'sim'"),
+    ("sim", {"step": "fast"}, "'sim'"),
+    ("search", {"max_trials": 50.7}, "search.max_trials"),
+    ("search", {"seed": 3.9}, "search.seed"),
+    ("sim", {"record_stride": 2.5}, "record_stride"),
+    ("intervals", 5, "'intervals'"),
 ], ids=["degrees-scalar", "degrees-fractional", "exosystem-scalar",
         "initial-scalar", "pole-string", "sim-scalar", "sim-step-string",
-        "max-trials-fractional", "seed-fractional", "record-stride-fractional"])
-def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value):
+        "max-trials-fractional", "seed-fractional", "record-stride-fractional",
+        "intervals-scalar"])
+def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value, named):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     cfg_dict[field] = value
     cfg = _write(tmp_path / "c.json", cfg_dict)
     assert main(["design", "--config", cfg, "--out", str(tmp_path / "g.json")]) \
         == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
 
 
 @pytest.mark.parametrize("field, value", [

@@ -115,8 +115,37 @@ class TestSimulateLinear:
         assert traj.e.shape == (101, 1)
         np.testing.assert_allclose(traj.e, traj.r - traj.y, atol=0.0)
 
+    def test_records_align_with_their_states(self):
+        # every recorded sample's outputs come from that sample's state:
+        # v = F xi + G w, r = H w, and y is each block's first state
+        gains = synthesize(assemble_mimo((2, 3)), ROTATION2, MIMO_XI0, MIMO_POLES)
+        traj, _ = simulate_nonlinear(chain_plant((2, 3)), ROTATION2, gains, MIMO_XI0,
+                                     SimConfig(horizon=2.0, record_stride=7))
+        assert traj.times.size == 2000 // 7 + 1
+        np.testing.assert_allclose(traj.v, traj.x @ gains.F.T + traj.w @ gains.G.T,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(traj.r, traj.w @ ROTATION2.H.T)
+        np.testing.assert_array_equal(traj.y, traj.x[:, [0, 2]])
+        np.testing.assert_array_equal(traj.u, traj.v)
+
 
 class TestSimulateNonlinear:
+    def test_loop_runs_on_python_floats(self):
+        # numpy scalars in the state give the same numbers, but every step
+        # then runs numpy scalar arithmetic, far slower than float arithmetic
+        def dynamics(x, u):
+            assert type(x[0]) is float and type(u[0]) is float
+            return (u[0],)
+
+        plant = NonlinearPlant(state_dim=1, input_dim=1, degrees=(1,),
+                               dynamics=dynamics, output=lambda x: (x[0],),
+                               normal_map=lambda x: x,
+                               linearizing_feedback=lambda x, v: v)
+        exo = Exosystem(S=[[0.0]], H=[[1.0]], w0=[1.0])
+        traj, _ = simulate_nonlinear(plant, exo, None, np.array([0.5]),
+                                     SimConfig(step=0.1, horizon=1.0, record_stride=1))
+        assert traj.x.shape == (11, 1)
+
     def test_error_has_no_sign_change_on_benchmark(self):
         traj, report = simulate_nonlinear(benchmark_plant(), ROTATION,
                                           _benchmark_gains(), REFERENCE_X0)
