@@ -143,9 +143,8 @@ def check_pole_placement() -> CriterionResult:
                                        ("fast", POLES_FAST, EXPECTED_EDGE_FAST)):
         ps = PoleSet(poles)
         F = moore_feedback(ps)
-        n = ps.n
-        A, B = make_chain(n).A, make_chain(n).B
-        achieved = np.poly(A + B @ F)          # leading-1 coefficients
+        chain = make_chain(ps.n)
+        achieved = np.poly(chain.A + chain.B @ F)   # leading-1 coefficients
         target = np.poly(ps.as_array())
         rel = np.abs(achieved - target).max() / np.abs(target).max()
         e_first = abs(abs(F[0, 0]) - first) / first

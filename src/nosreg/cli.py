@@ -1,9 +1,11 @@
 """Command-line front end: design, search, simulate, reproduce-example.
 
 Configuration and gains travel as JSON; trajectories as CSV plus a generated
-gnuplot script.  Exit codes: 0 success, 2 validation, 3 synthesis or
-certificate failure, 4 search exhausted, 5 simulation failure (non-finite
-state or detected overshoot).
+gnuplot script.  Every input field is read by ``_field``, so a validation
+message names the field, and the file too for a gains file.  Exit codes
+(``EXIT_CODES``): 0 success, 2 validation or an unwritable output path,
+3 synthesis or certificate failure, 4 search exhausted, 5 simulation failure
+(non-finite state or detected overshoot).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -20,9 +21,9 @@ import numpy as np
 from .chains import (Exosystem, NonlinearPlant, assemble_mimo, chain_plant,
                      make_chain, split_state)
 from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
-                     InvalidOrder, InvalidPoleSet, NonFiniteState,
+                     InvalidOrder, InvalidPoleSet, NonFiniteState, NosregError,
                      SearchExhausted, SingularMatrix)
-from .linalg import as_int, as_vector
+from .linalg import as_int, as_matrix, as_vector
 from .modal import DEFAULT_SEP_MIN, PoleSet
 from .plants import BUILTIN_PLANTS
 from .polesearch import DEFAULT_MAX_TRIALS, SearchSpec, search
@@ -35,8 +36,14 @@ EXIT_SYNTHESIS = 3
 EXIT_SEARCH = 4
 EXIT_SIMULATION = 5
 
-_VALIDATION_ERRORS = (ConfigError, DimensionMismatch, InvalidOrder, InvalidPoleSet)
-_SYNTHESIS_ERRORS = (SingularMatrix, CertificateFailed)
+# main's exit code for an error: the first row that matches
+EXIT_CODES = (
+    ((ConfigError, DimensionMismatch, InvalidOrder, InvalidPoleSet, OSError),
+     EXIT_VALIDATION),
+    ((SingularMatrix, CertificateFailed), EXIT_SYNTHESIS),
+    ((SearchExhausted,), EXIT_SEARCH),
+    ((NonFiniteState,), EXIT_SIMULATION),
+)
 
 
 @dataclass(frozen=True)
@@ -63,80 +70,78 @@ class LoadedGains:
 
     F: np.ndarray
     G: np.ndarray
-    degrees: tuple[int, ...]
-    poles: tuple[tuple[float, ...], ...]
     p_values: tuple[float, ...]
 
 
-def _field(data: dict, key: str, path: str, required: bool = True, default=None):
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, path: str, convert=None, default=_REQUIRED):
+    """``convert(data[key])``, or ``default`` as is if the key is absent.
+
+    A value ``convert`` rejects is a ConfigError naming ``path + key``; a
+    ConfigError from a nested ``_field`` passes through, naming its own field.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"'{path[:-1] or 'root'}' must be a JSON object")
     if key not in data:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing field '{path}{key}'")
         return default
-    return data[key]
-
-
-@contextmanager
-def _config_errors(what: str):
-    """Report a wrong-typed field (a string for a number, ...) as ``what: <reason>``."""
+    if convert is None:
+        return data[key]
     try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+        return convert(data[key])
+    except (TypeError, ValueError, DimensionMismatch, InvalidOrder, InvalidPoleSet) as exc:
+        raise ConfigError(f"malformed field '{path}{key}': {exc}") from exc
 
 
-def _degrees(data: dict) -> tuple[int, ...]:
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: "
+                          f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def _int(value) -> int:
+    return as_int(value, "value")
+
+
+def _degrees(values) -> tuple[int, ...]:
     # JSON may spell a degree 4.0; the chain rule then checks every degree
-    return assemble_mimo([as_int(g, "degrees") for g in _field(data, "degrees", "")])
+    return assemble_mimo([_int(g) for g in values])
 
 
-def _per_subsystem(raw: dict, key: str, degrees, convert):
-    """Length-check and convert the per-subsystem lists ``raw[key]``; None if absent."""
-    if key not in raw:
-        return None
-    with _config_errors(f"malformed field '{key}'"):
-        lists = raw[key]
-        if len(lists) != len(degrees):
-            raise ConfigError(f"'{key}' must list one entry per subsystem ({len(degrees)})")
-        for j, (items, g) in enumerate(zip(lists, degrees)):
-            if len(items) != g:
-                raise ConfigError(f"{key}[{j}] has {len(items)} entries, "
-                                  f"subsystem order is {g}")
-        return tuple(convert(items) for items in lists)
+def _per_subsystem(lists, degrees, convert) -> tuple:
+    """``convert`` of each per-subsystem entry, after checking every entry's length."""
+    if len(lists) != len(degrees):
+        raise DimensionMismatch(f"must list one entry per subsystem ({len(degrees)})")
+    for j, (items, g) in enumerate(zip(lists, degrees)):
+        if len(items) != g:
+            raise DimensionMismatch(f"entry {j} has {len(items)} items, "
+                                    f"subsystem order is {g}")
+    return tuple(convert(items) for items in lists)
 
 
 def load_config(path) -> ProblemConfig:
     """Read and validate a problem configuration file."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: "
-                          f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    with _config_errors(f"config {path} has a malformed field"):
-        return _parse_config(raw)
-
-
-def _parse_config(raw: dict) -> ProblemConfig:
-    with _config_errors("malformed field 'degrees'"):
-        degrees = _degrees(raw)
+    raw = _read_json(path, "config")
+    degrees = _field(raw, "degrees", "", _degrees)
     p = len(degrees)
     gamma = sum(degrees)
 
-    exo_raw = _field(raw, "exosystem", "")
-    with _config_errors("malformed field 'exosystem'"):
-        exo = Exosystem(S=_field(exo_raw, "S", "exosystem."),
-                        H=_field(exo_raw, "H", "exosystem."),
-                        w0=_field(exo_raw, "w0", "exosystem."))
+    exo = _field(raw, "exosystem", "", lambda data: Exosystem(
+        S=_field(data, "S", "exosystem.", as_matrix),
+        H=_field(data, "H", "exosystem.", as_matrix),
+        w0=_field(data, "w0", "exosystem.", as_vector)))
     if exo.num_outputs != p:
         raise ConfigError(f"exosystem.H has {exo.num_outputs} rows, expected {p}")
 
     init = _field(raw, "initial", "")
-    plant_name = _field(init, "plant", "initial.", required=False)
-    xi0 = _field(init, "xi0", "initial.", required=False)
+    plant_name = _field(init, "plant", "initial.", default=None)
     if plant_name is not None:
         if not isinstance(plant_name, str) or plant_name not in BUILTIN_PLANTS:
             raise ConfigError(f"unknown plant '{plant_name}'; "
@@ -145,40 +150,62 @@ def _parse_config(raw: dict) -> ProblemConfig:
         if plant.degrees != degrees:
             raise ConfigError(f"plant '{plant_name}' has degrees {plant.degrees}, "
                               f"config says {degrees}")
-        with _config_errors("malformed field 'initial.x0'"):
-            x0 = as_vector(_field(init, "x0", "initial."), length=plant.state_dim)
+        x0 = _field(init, "x0", "initial.",
+                    lambda v: as_vector(v, length=plant.state_dim))
         xi0 = as_vector(plant.normal_map(x0), length=gamma)
-    elif xi0 is not None:
+    elif "xi0" in init:
         # the normal form itself is the plant: identity chain map, u = v
         plant = chain_plant(degrees)
-        with _config_errors("malformed field 'initial.xi0'"):
-            x0 = xi0 = as_vector(xi0, length=gamma)
+        x0 = xi0 = _field(init, "xi0", "initial.", lambda v: as_vector(v, length=gamma))
     else:
         raise ConfigError("'initial' needs either 'xi0' or 'plant' + 'x0'")
 
-    srch = raw.get("search", {})
-    with _config_errors("malformed field 'search.sep_min'"):
-        sep_min = float(_field(srch, "sep_min", "search.",
-                               required=False, default=DEFAULT_SEP_MIN))
-
-    pole_sets = _per_subsystem(raw, "poles", degrees, lambda lams: PoleSet(
-        tuple(float(l) for l in lams), sep_min=sep_min))
-    intervals = _per_subsystem(raw, "intervals", degrees, lambda box: tuple(
-        (float(lo), float(hi)) for lo, hi in box))
-
-    # every SimConfig field is optional; SimConfig checks and converts their types
-    simc = raw.get("sim", {})
-    with _config_errors("malformed field 'sim'"):
-        cfg = SimConfig(**{key: _field(simc, key, "sim.", False, default)
-                           for key, default in asdict(SimConfig()).items()})
+    srch = _field(raw, "search", "", default={})
+    sep_min = _field(srch, "sep_min", "search.", float, DEFAULT_SEP_MIN)
+    pole_sets = _field(raw, "poles", "", lambda lists: _per_subsystem(
+        lists, degrees, lambda lams: PoleSet(tuple(float(l) for l in lams),
+                                             sep_min=sep_min)), None)
+    intervals = _field(raw, "intervals", "", lambda lists: _per_subsystem(
+        lists, degrees, lambda box: tuple((float(lo), float(hi)) for lo, hi in box)), None)
     return ProblemConfig(
         degrees=degrees, exo=exo, plant=plant, plant_name=plant_name,
         x0=x0, xi0=xi0, pole_sets=pole_sets, intervals=intervals,
-        max_trials=as_int(srch.get("max_trials", DEFAULT_MAX_TRIALS), "search.max_trials"),
-        seed=as_int(srch.get("seed", 0), "search.seed"), sep_min=sep_min, sim=cfg)
+        max_trials=_field(srch, "max_trials", "search.", _int, DEFAULT_MAX_TRIALS),
+        seed=_field(srch, "seed", "search.", _int, 0), sep_min=sep_min,
+        # record_stride goes through as_int: int() would truncate 2.5
+        sim=_field(raw, "sim", "", lambda data: SimConfig(**{
+            key: _field(data, key, "sim.", float if isinstance(default, float) else _int,
+                        default) for key, default in asdict(SimConfig()).items()}),
+            SimConfig()))
 
 
-def _gains_payload(cfg: ProblemConfig, gains, seed=None, trials=None) -> dict:
+def write_gains(path, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def load_gains(path, cfg: ProblemConfig) -> LoadedGains:
+    """Read a gains file; its F and G shapes are checked by the simulator."""
+    raw = _read_json(path, "gains file")
+    try:
+        degrees = _field(raw, "degrees", "", _degrees)
+        if degrees != cfg.degrees:
+            raise ConfigError(f"gains were designed for degrees {degrees}, "
+                              f"config says {cfg.degrees}")
+        # no as_matrix: its atleast_2d would pass a flat F the simulator rejects
+        F, G = (_field(raw, key, "", lambda v: np.asarray(v, dtype=float))
+                for key in ("F", "G"))
+        p_values = []
+        for j, sub in enumerate(_field(raw, "subsystems", "", list)):
+            _field(sub, "poles", f"subsystems[{j}].")     # required, though unread
+            p_values.append(_field(sub, "p_value", f"subsystems[{j}].", float))
+    except ConfigError as exc:
+        raise ConfigError(f"gains file {path}: {exc}") from exc
+    return LoadedGains(F=F, G=G, p_values=tuple(p_values))
+
+
+def _write_design(cfg: ProblemConfig, pole_sets, out_path, seed=None, trials=None) -> int:
+    """Synthesize gains for ``pole_sets``, write the gains file and print a summary."""
+    gains = synthesize(cfg.degrees, cfg.exo, cfg.xi0, pole_sets)
     subs = []
     for j, sub in enumerate(gains.subsystems):
         entry = {
@@ -201,43 +228,7 @@ def _gains_payload(cfg: ProblemConfig, gains, seed=None, trials=None) -> dict:
     }
     if seed is not None:
         payload["seed"] = seed
-    return payload
-
-
-def write_gains(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_gains(path, cfg: ProblemConfig) -> LoadedGains:
-    """Read a gains file and check it against the problem dimensions."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read gains file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"gains file {path} is not valid JSON: "
-                          f"line {exc.lineno}: {exc.msg}") from exc
-    with _config_errors(f"gains file {path} has a malformed field"):
-        degrees = _degrees(raw)
-        if degrees != cfg.degrees:
-            raise ConfigError(f"gains were designed for degrees {degrees}, "
-                              f"config says {cfg.degrees}")
-        gamma, p, m = sum(degrees), len(degrees), cfg.exo.dim
-        F = np.asarray(_field(raw, "F", ""), dtype=float)
-        G = np.asarray(_field(raw, "G", ""), dtype=float)
-        if F.shape != (p, gamma) or G.shape != (p, m):
-            raise ConfigError(f"gains have shapes F{F.shape}, G{G.shape}; "
-                              f"expected F{(p, gamma)}, G{(p, m)}")
-        poles, p_values = [], []
-        for j, sub in enumerate(_field(raw, "subsystems", "")):
-            at = f"subsystems[{j}]."
-            poles.append(tuple(float(l) for l in _field(sub, "poles", at)))
-            p_values.append(float(_field(sub, "p_value", at)))
-    return LoadedGains(F=F, G=G, degrees=degrees, poles=tuple(poles),
-                       p_values=tuple(p_values))
-
-
-def _print_design_summary(cfg: ProblemConfig, gains, out) -> None:
+    write_gains(out_path, payload)
     for j, sub in enumerate(gains.subsystems):
         poles = ", ".join(f"{l:.6g}" for l in sub.poles.lambdas)
         print(f"subsystem {j}: poles [{poles}]")
@@ -248,7 +239,8 @@ def _print_design_summary(cfg: ProblemConfig, gains, out) -> None:
             print("  certificate: trivial (initial state on the steady-state manifold)")
         else:
             print(f"  certificate: p = {sub.cert.p_value:.6g} > 0")
-    print(f"gains written to {out}")
+    print(f"gains written to {out_path}")
+    return EXIT_OK
 
 
 def cmd_design(config_path, out_path) -> int:
@@ -256,10 +248,7 @@ def cmd_design(config_path, out_path) -> int:
     cfg = load_config(config_path)
     if cfg.pole_sets is None:
         raise ConfigError("'design' needs explicit 'poles' in the config")
-    gains = synthesize(cfg.degrees, cfg.exo, cfg.xi0, cfg.pole_sets)
-    write_gains(out_path, _gains_payload(cfg, gains))
-    _print_design_summary(cfg, gains, out_path)
-    return EXIT_OK
+    return _write_design(cfg, cfg.pole_sets, out_path)
 
 
 def cmd_search(config_path, out_path, seed: int | None = None) -> int:
@@ -281,11 +270,7 @@ def cmd_search(config_path, out_path, seed: int | None = None) -> int:
               f"p = {cert.p_value:.6g}")
         found.append(poles)
         trials.append(used)
-
-    gains = synthesize(cfg.degrees, cfg.exo, cfg.xi0, tuple(found))
-    write_gains(out_path, _gains_payload(cfg, gains, seed=base_seed, trials=trials))
-    _print_design_summary(cfg, gains, out_path)
-    return EXIT_OK
+    return _write_design(cfg, tuple(found), out_path, seed=base_seed, trials=trials)
 
 
 def gnuplot_script(csv_path, plot_path, columns) -> str:
@@ -383,18 +368,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.config, args.gains, args.csv, args.plot)
         return cmd_reproduce_example()
-    except _VALIDATION_ERRORS as exc:
+    except (NosregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _SYNTHESIS_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTHESIS
-    except SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
-    except NonFiniteState as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+        return next(code for errors, code in EXIT_CODES if isinstance(exc, errors))
 
 
 if __name__ == "__main__":

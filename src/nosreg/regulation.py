@@ -53,10 +53,6 @@ class RegulatorGains:
     F: np.ndarray
     G: np.ndarray
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(s.F.shape[1] for s in self.subsystems)
-
 
 def solve_sylvester(chain: ChainSystem, exo: Exosystem, H_row) -> tuple[np.ndarray, np.ndarray]:
     """Solve the regulator equations for one chain against the exosystem.

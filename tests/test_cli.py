@@ -1,10 +1,12 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from nosreg import errors
 from nosreg.acceptance import reference_config_dict
-from nosreg.cli import (EXIT_SEARCH, EXIT_SIMULATION, EXIT_SYNTHESIS,
+from nosreg.cli import (EXIT_CODES, EXIT_SEARCH, EXIT_SIMULATION, EXIT_SYNTHESIS,
                         EXIT_VALIDATION, load_config, load_gains, main)
 
 SLOW_POLES = [-4.847, -4.017, -2.432, -0.1032]
@@ -79,6 +81,40 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     code = main(["design", "--config", str(path), "--out", str(tmp_path / "g.json")])
     assert code == EXIT_VALIDATION
     assert "line" in capsys.readouterr().err
+
+
+def test_undecodable_config_exits_validation(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code = main(["design", "--config", str(path), "--out", str(tmp_path / "g.json")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {path}")
+
+
+@pytest.mark.parametrize("command", ["design", "simulate"])
+def test_unwritable_output_exits_validation(tmp_path, config_path, capsys, command):
+    gains = tmp_path / "gains.json"
+    main(["design", "--config", config_path, "--out", str(gains)])
+    capsys.readouterr()
+    missing = tmp_path / "missing"
+    if command == "design":
+        argv = ["design", "--config", config_path, "--out", str(missing / "g.json")]
+    else:
+        argv = ["simulate", "--config", config_path, "--gains", str(gains),
+                "--csv", str(missing / "t.csv"), "--plot", str(tmp_path / "t.gp")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
+def test_every_error_type_has_an_exit_code():
+    types = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+             if issubclass(cls, errors.NosregError) and cls is not errors.NosregError]
+    assert len(types) >= 8
+    unmapped = [cls.__name__ for cls in types + [OSError]
+                if not any(issubclass(cls, row) for row, _ in EXIT_CODES)]
+    assert unmapped == []
 
 
 def test_search_is_seed_deterministic(tmp_path, capsys):
@@ -165,6 +201,23 @@ def test_simulate_checks_gain_dimensions(tmp_path, config_path):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("key, reshape", [
+    ("F", lambda F: F[0]),
+    ("G", lambda G: [G[0] + [0.0]]),
+], ids=["F-flat", "G-wide"])
+def test_simulate_checks_gain_shapes(tmp_path, config_path, capsys, key, reshape):
+    gains = tmp_path / "gains.json"
+    main(["design", "--config", config_path, "--out", str(gains)])
+    payload = json.loads(gains.read_text())
+    payload[key] = reshape(payload[key])
+    gains.write_text(json.dumps(payload))
+    code = main(["simulate", "--config", config_path, "--gains", str(gains),
+                 "--csv", str(tmp_path / "t.csv"), "--plot", str(tmp_path / "t.gp")])
+    assert code == EXIT_VALIDATION
+    assert f"gain {key} has shape" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_on_manifold_start_noted_in_summary(tmp_path, capsys):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     # xi0 = Pi w0: start on the steady-state manifold, zero transient
@@ -198,15 +251,16 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
     ("initial", 3, "'initial'"),
     ("poles", [[-4.847, "a", -2.432, -0.1032]], "'poles'"),
     ("sim", 3, "'sim'"),
-    ("sim", {"step": "fast"}, "'sim'"),
+    ("sim", {"step": "fast"}, "'sim.step'"),
     ("search", {"max_trials": 50.7}, "search.max_trials"),
     ("search", {"seed": 3.9}, "search.seed"),
     ("sim", {"record_stride": 2.5}, "record_stride"),
     ("intervals", 5, "'intervals'"),
+    ("exosystem", {"S": "abc", "H": [[1.0, 0.0]], "w0": [1.0, 0.0]}, "'exosystem.S'"),
 ], ids=["degrees-scalar", "degrees-fractional", "exosystem-scalar",
         "initial-scalar", "pole-string", "sim-scalar", "sim-step-string",
         "max-trials-fractional", "seed-fractional", "record-stride-fractional",
-        "intervals-scalar"])
+        "intervals-scalar", "exosystem-S-string"])
 def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value, named):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     cfg_dict[field] = value
@@ -218,23 +272,33 @@ def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value,
     assert named in err
 
 
-@pytest.mark.parametrize("field, value", [
-    ("poles", None),
-    ("p_value", "high"),
-], ids=["poles-missing", "p-value-string"])
-def test_malformed_gains_subsystem_exits_validation(tmp_path, config_path,
-                                                    field, value):
+@pytest.mark.parametrize("keys, value, named", [
+    (("subsystems", 0, "poles"), None, "'subsystems[0].poles'"),
+    (("subsystems", 0, "p_value"), "high", "'subsystems[0].p_value'"),
+    (("F",), "abc", "'F'"),
+    (("degrees",), 4, "'degrees'"),
+    (("subsystems",), 5, "'subsystems'"),
+], ids=["poles-missing", "p-value-string", "F-string", "degrees-scalar",
+        "subsystems-scalar"])
+def test_malformed_gains_subsystem_exits_validation(tmp_path, config_path, capsys,
+                                                    keys, value, named):
     gains = tmp_path / "gains.json"
     main(["design", "--config", config_path, "--out", str(gains)])
     payload = json.loads(gains.read_text())
+    parent = payload
+    for key in keys[:-1]:
+        parent = parent[key]
     if value is None:
-        del payload["subsystems"][0][field]
+        del parent[keys[-1]]
     else:
-        payload["subsystems"][0][field] = value
+        parent[keys[-1]] = value
     gains.write_text(json.dumps(payload))
     code = main(["simulate", "--config", config_path, "--gains", str(gains),
                  "--csv", str(tmp_path / "t.csv"), "--plot", str(tmp_path / "t.gp")])
     assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: gains file {gains}: ")
+    assert named in err
 
 
 def test_negative_seed_exits_validation(tmp_path, capsys):
