@@ -72,7 +72,7 @@ def reference_config_dict(intervals=BANDS_SLOW, poles=None, seed=20250808) -> di
                       "H": [list(r) for r in EXO_H],
                       "w0": list(EXO_W0)},
         "initial": {"plant": "benchmark", "x0": list(REFERENCE_X0)},
-        "search": {"max_trials": 10000, "seed": seed, "sep_min": 1e-6},
+        "search": {"max_trials": 10000, "seed": seed},
         "sim": {"step": 1e-3, "horizon": 40.0, "record_stride": 10,
                 "zero_band": 1e-9},
     }

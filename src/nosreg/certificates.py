@@ -7,7 +7,9 @@ with ``c_k = 1`` when ``alpha_k`` opposes the slowest coefficient in sign and
     p = |alpha_n| + (1 - c_{n-1}) |alpha_{n-1}| - sum_k c_k |alpha_k|
 
 and ``p > 0`` guarantees no sign change for t >= 0.  The test is sufficient
-only: a failing p says nothing about the true response.
+only: a failing p says nothing about the true response.  The slowest mode is
+the last nonzero coefficient; every nonzero coefficient counts, however small,
+since a tiny one that opposes the rest still turns the response around late.
 
 Two low-order refinements are provided: a quadrant rule for n = 2 and
 closed-form expressions for n = 3, the divided differences that
@@ -24,10 +26,6 @@ from .errors import DimensionMismatch
 from .linalg import as_vector
 from .modal import ModalDecomposition, PoleSet
 
-# Coefficients below this fraction of max|alpha| count as zero when classifying
-# signs, so roundoff in a solve cannot flip a c_k.
-SIGN_ATOL_REL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
@@ -42,23 +40,18 @@ class Certificate:
 def _score(alpha: np.ndarray) -> tuple[np.ndarray, float]:
     """Sign pattern and p-score of a modal coefficient vector.
 
-    Trailing coefficients that are negligible relative to max|alpha| are
-    dropped first: the test must be applied against the slowest *active*
-    mode, otherwise a vanishing alpha_n would blind it to sign mixing among
+    The test is applied against the slowest *active* mode, the last nonzero
+    coefficient: a zero alpha_n would otherwise blind it to sign mixing among
     the remaining modes.
     """
-    n = alpha.size
+    active = np.flatnonzero(alpha)
+    last = int(active[-1]) if active.size else 0
     mag = np.abs(alpha)
-    big = float(mag.max()) if n else 0.0
-    if big == 0.0:
-        return np.zeros(max(n - 1, 0), dtype=int), 0.0
-    a = np.where(mag < SIGN_ATOL_REL * big, 0.0, alpha)
-    last = int(np.nonzero(a)[0][-1])
-    c = np.zeros(n - 1, dtype=int)
+    c = np.zeros(alpha.size - 1, dtype=int)
     # compare signs, not products: a product of tiny coefficients underflows to 0
-    c[:last] = (np.sign(a[:last]) == -np.sign(a[last])).astype(int)
+    c[:last] = (np.sign(alpha[:last]) == -np.sign(alpha[last])).astype(int)
     if last == 0:
-        # single active mode: one decaying exponential never changes sign
+        # at most one active mode: one decaying exponential never changes sign
         return c, float(mag[0])
     p = (mag[last] + (1 - c[last - 1]) * mag[last - 1]
          - float(c[:last] @ mag[:last]))

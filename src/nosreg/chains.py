@@ -59,11 +59,11 @@ class NonlinearPlant:
     a sequence of floats, and should return a sequence of floats:
 
     - ``dynamics(x, u)``: state derivative, length ``state_dim``
-    - ``output(x)``: plant outputs, length ``input_dim``
+    - ``output(x)``: plant outputs, one per relative degree
     - ``normal_map(x)``: chain coordinates, length ``sum(degrees)``; the first
       component of each block must equal the corresponding output
     - ``linearizing_feedback(x, v)``: physical input realizing the chain input
-      ``v``, length ``input_dim``
+      ``v``, one input per relative degree
 
     Internal (zero-dynamics) coordinates are never required: the simulator
     integrates the full plant state directly.  Stability of the zero dynamics
@@ -71,7 +71,6 @@ class NonlinearPlant:
     """
 
     state_dim: int
-    input_dim: int
     degrees: tuple[int, ...]
     dynamics: Callable = field(repr=False)
     output: Callable = field(repr=False)
@@ -80,10 +79,12 @@ class NonlinearPlant:
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", assemble_mimo(self.degrees))
-        if len(self.degrees) != self.input_dim:
-            raise DimensionMismatch("one relative degree per input/output channel")
         if sum(self.degrees) > self.state_dim:
             raise DimensionMismatch("total relative degree exceeds the state dimension")
+
+    @property
+    def input_dim(self) -> int:
+        return len(self.degrees)
 
 
 def _positive_order(order) -> int:
@@ -152,9 +153,8 @@ def chain_plant(degrees: Sequence[int]) -> NonlinearPlant:
     def feedback(x, v):
         return v
 
-    return NonlinearPlant(state_dim=blocks[-1].stop, input_dim=len(degrees), degrees=degrees,
-                          dynamics=dynamics, output=output, normal_map=identity,
-                          linearizing_feedback=feedback)
+    return NonlinearPlant(state_dim=blocks[-1].stop, degrees=degrees, dynamics=dynamics,
+                          output=output, normal_map=identity, linearizing_feedback=feedback)
 
 
 def split_state(xi, degrees: Sequence[int]) -> tuple[np.ndarray, ...]:

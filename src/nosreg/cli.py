@@ -2,7 +2,8 @@
 
 Configuration and gains travel as JSON; trajectories as CSV plus a generated
 gnuplot script.  Every input field is read by ``_field``, so a validation
-message names the field, and the file too for a gains file.  Exit codes
+message names the field, and the file too for a gains file; a config key that
+no reader asks for is named as an unknown field.  Exit codes
 (``EXIT_CODES``): 0 success, 2 validation or an unwritable output path,
 3 synthesis or certificate failure, 4 search exhausted, 5 simulation failure
 (non-finite state or detected overshoot).
@@ -24,7 +25,7 @@ from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
                      InvalidOrder, InvalidPoleSet, NonFiniteState, NosregError,
                      SearchExhausted, SingularMatrix)
 from .linalg import as_int, as_matrix, as_vector
-from .modal import DEFAULT_SEP_MIN, PoleSet
+from .modal import PoleSet
 from .plants import BUILTIN_PLANTS
 from .polesearch import DEFAULT_MAX_TRIALS, SearchSpec, search
 from .regulation import nominal_ic, solve_sylvester, synthesize
@@ -60,7 +61,6 @@ class ProblemConfig:
     intervals: tuple[tuple[tuple[float, float], ...], ...] | None
     max_trials: int
     seed: int
-    sep_min: float
     sim: SimConfig
 
 
@@ -96,6 +96,21 @@ def _field(data: dict, key: str, path: str, convert=None, default=_REQUIRED):
         raise ConfigError(f"malformed field '{path}{key}': {exc}") from exc
 
 
+def _known(data, path: str, keys):
+    """``keys``, once the object ``data`` at ``path`` has no other key."""
+    for key in data if isinstance(data, dict) else ():   # _field reports a non-object
+        if key not in keys:
+            raise ConfigError(f"unknown field '{path}{key}'")
+    return keys
+
+
+def _search_field(data, key: str, default):
+    """``search.<key>``, checked by ``SearchSpec``'s own rule on a one-pole box."""
+    return _field(data, key, "search.",
+                  lambda value: getattr(SearchSpec(((0.0, 0.0),), **{key: value}), key),
+                  default)
+
+
 def _read_json(path, what: str):
     try:
         return json.loads(Path(path).read_text())
@@ -129,19 +144,20 @@ def _per_subsystem(lists, degrees, convert) -> tuple:
 def load_config(path) -> ProblemConfig:
     """Read and validate a problem configuration file."""
     raw = _read_json(path, "config")
+    _known(raw, "", ("degrees", "exosystem", "initial", "poles", "intervals", "search", "sim"))
     degrees = _field(raw, "degrees", "", _degrees)
     p = len(degrees)
     gamma = sum(degrees)
 
-    exo = _field(raw, "exosystem", "", lambda data: Exosystem(
-        S=_field(data, "S", "exosystem.", as_matrix),
-        H=_field(data, "H", "exosystem.", as_matrix),
-        w0=_field(data, "w0", "exosystem.", as_vector)))
+    exo = _field(raw, "exosystem", "", lambda data: Exosystem(**{
+        key: _field(data, key, "exosystem.", convert) for key, convert in _known(
+            data, "exosystem.", {"S": as_matrix, "H": as_matrix, "w0": as_vector}).items()}))
     if exo.num_outputs != p:
         raise ConfigError(f"exosystem.H has {exo.num_outputs} rows, expected {p}")
 
     init = _field(raw, "initial", "")
     plant_name = _field(init, "plant", "initial.", default=None)
+    _known(init, "initial.", ("plant", "xi0" if plant_name is None else "x0"))
     if plant_name is not None:
         if not isinstance(plant_name, str) or plant_name not in BUILTIN_PLANTS:
             raise ConfigError(f"unknown plant '{plant_name}'; "
@@ -161,21 +177,21 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError("'initial' needs either 'xi0' or 'plant' + 'x0'")
 
     srch = _field(raw, "search", "", default={})
-    sep_min = _field(srch, "sep_min", "search.", float, DEFAULT_SEP_MIN)
+    _known(srch, "search.", ("max_trials", "seed"))
     pole_sets = _field(raw, "poles", "", lambda lists: _per_subsystem(
-        lists, degrees, lambda lams: PoleSet(tuple(float(l) for l in lams),
-                                             sep_min=sep_min)), None)
+        lists, degrees, PoleSet), None)
     intervals = _field(raw, "intervals", "", lambda lists: _per_subsystem(
-        lists, degrees, lambda box: tuple((float(lo), float(hi)) for lo, hi in box)), None)
+        lists, degrees, lambda box: SearchSpec(box).intervals), None)
     return ProblemConfig(
         degrees=degrees, exo=exo, plant=plant, plant_name=plant_name,
         x0=x0, xi0=xi0, pole_sets=pole_sets, intervals=intervals,
-        max_trials=_field(srch, "max_trials", "search.", _int, DEFAULT_MAX_TRIALS),
-        seed=_field(srch, "seed", "search.", _int, 0), sep_min=sep_min,
+        max_trials=_search_field(srch, "max_trials", DEFAULT_MAX_TRIALS),
+        seed=_search_field(srch, "seed", 0),
         # record_stride goes through as_int: int() would truncate 2.5
         sim=_field(raw, "sim", "", lambda data: SimConfig(**{
             key: _field(data, key, "sim.", float if isinstance(default, float) else _int,
-                        default) for key, default in asdict(SimConfig()).items()}),
+                        default)
+            for key, default in _known(data, "sim.", asdict(SimConfig())).items()}),
             SimConfig()))
 
 
@@ -264,7 +280,7 @@ def cmd_search(config_path, out_path, seed: int | None = None) -> int:
         Pi_j, _ = solve_sylvester(make_chain(g), cfg.exo, cfg.exo.H[j:j + 1])
         xt0_j = nominal_ic(xi_blocks[j], Pi_j, cfg.exo.w0)
         spec = SearchSpec(intervals=cfg.intervals[j], max_trials=cfg.max_trials,
-                          seed=base_seed + j, sep_min=cfg.sep_min)
+                          seed=base_seed + j)
         poles, cert, used = search(spec, xt0_j)
         print(f"subsystem {j}: passing poles after {used} trial(s), "
               f"p = {cert.p_value:.6g}")

@@ -22,7 +22,7 @@ class DimensionMismatch(NosregError):
 
 
 class InvalidPoleSet(NosregError):
-    """Candidate closed-loop poles violate ordering, negativity or separation."""
+    """Candidate closed-loop poles are not finite, negative and strictly increasing."""
 
 
 class CertificateFailed(NosregError):

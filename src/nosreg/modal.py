@@ -21,15 +21,12 @@ from .errors import InvalidPoleSet, SingularMatrix
 # lu_solve is unused here; the benchmark tracer patches nosreg.modal.lu_solve
 from .linalg import as_vector, lu_solve
 
-DEFAULT_SEP_MIN = 1e-6
-
 
 @dataclass(frozen=True)
 class PoleSet:
-    """Strictly increasing, strictly negative real closed-loop poles."""
+    """Strictly increasing, strictly negative real poles; ``modal_coeffs`` judges closeness."""
 
     lambdas: tuple[float, ...]
-    sep_min: float = DEFAULT_SEP_MIN
 
     def __post_init__(self):
         lams = tuple(float(l) for l in self.lambdas)
@@ -40,11 +37,8 @@ class PoleSet:
             raise InvalidPoleSet("poles must be finite")
         if lams[-1] >= 0.0:
             raise InvalidPoleSet(f"poles must be negative, got {lams[-1]}")
-        gaps = np.diff(lams)
-        if len(gaps) and gaps.min() < self.sep_min:
-            raise InvalidPoleSet(
-                f"poles must increase with separation >= {self.sep_min:g}, "
-                f"got minimum gap {gaps.min():g}")
+        if any(b <= a for a, b in zip(lams, lams[1:])):
+            raise InvalidPoleSet(f"poles must strictly increase, got {lams}")
 
     @property
     def n(self) -> int:
@@ -62,10 +56,6 @@ class ModalDecomposition:
     V: np.ndarray
     alpha: np.ndarray
     x0: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.poles.n
 
 
 def vandermonde(poles: PoleSet) -> np.ndarray:
@@ -91,6 +81,7 @@ def _bjorck_pereyra(lams, b) -> list[float]:
     Bjorck & Pereyra (Math. Comp. 24, 1970); Golub & Van Loan, Alg. 4.6.2.
     ``V^{-1}`` factors into bidiagonal matrices: the first sweep applies the
     lower ones, the second divides by the pole gaps and applies the upper ones.
+    A ``PoleSet``'s poles strictly increase, so no gap is zero.
     """
     n = len(lams)
     z = list(b)
@@ -118,16 +109,13 @@ def modal_coeffs(poles: PoleSet, x0) -> ModalDecomposition:
     ------
     SingularMatrix
         If ``max|V alpha - x0|`` exceeds ``1e-9 * max(1, max|x0|)``, as it
-        does for poles too close to tell apart.
+        does for poles too close to tell apart; no other rule bounds their gap.
     """
     x0 = as_vector(x0, length=poles.n)
     V = vandermonde(poles)
     lams = poles.lambdas
-    try:
-        alpha = np.array(_bjorck_pereyra(lams, x0.tolist()))
-        alpha += _bjorck_pereyra(lams, (x0 - V @ alpha).tolist())
-    except ZeroDivisionError:
-        raise SingularMatrix("eigenvector basis is singular: repeated pole") from None
+    alpha = np.array(_bjorck_pereyra(lams, x0.tolist()))
+    alpha += _bjorck_pereyra(lams, (x0 - V @ alpha).tolist())
     resid = np.max(np.abs(V @ alpha - x0))
     tol = 1e-9 * max(1.0, np.max(np.abs(x0)))
     if not resid <= tol:   # a NaN residual is rejected too

@@ -68,7 +68,6 @@ def benchmark_plant() -> NonlinearPlant:
     """The built-in relative-degree-4 plant in closed form."""
     return NonlinearPlant(
         state_dim=4,
-        input_dim=1,
         degrees=(4,),
         dynamics=_dynamics,
         output=_output,

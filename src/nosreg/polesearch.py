@@ -1,11 +1,12 @@
 """Randomized interval-constrained search for a certifiable pole set.
 
 Candidates are drawn uniformly and independently, one coordinate per
-interval, and rejected unless strictly increasing with the required
-separation.  The first candidate whose certificate passes wins; any passing
-set is as good as any other, so there is no scoring beyond pass/fail.  Each
-candidate is drawn as its trial starts, in an order fixed by the seed: runs
-are reproducible and an early pass costs nothing for the unused budget.
+interval, and rejected unless strictly increasing, or when the residual guard
+of ``modal_coeffs`` finds them too close to resolve.  The first candidate
+whose certificate passes wins; any passing set is as good as any other, so
+there is no scoring beyond pass/fail.  Each candidate is drawn as its trial
+starts, in an order fixed by the seed: runs are reproducible and an early
+pass costs nothing for the unused budget.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .certificates import Certificate, certify
 from .errors import DimensionMismatch, InvalidPoleSet, SearchExhausted, SingularMatrix
 from .linalg import as_int, as_vector
-from .modal import DEFAULT_SEP_MIN, PoleSet, modal_coeffs
+from .modal import PoleSet, modal_coeffs
 
 DEFAULT_MAX_TRIALS = 10_000
 
@@ -29,7 +30,6 @@ class SearchSpec:
     intervals: tuple[tuple[float, float], ...]
     max_trials: int = DEFAULT_MAX_TRIALS
     seed: int = 0
-    sep_min: float = DEFAULT_SEP_MIN
 
     def __post_init__(self):
         ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
@@ -77,7 +77,7 @@ def search(spec: SearchSpec, x0) -> tuple[PoleSet, Certificate, int]:
         # Generator.uniform's own arithmetic: the stream of a one-shot draw
         draw = los + widths * rng.random(spec.n)
         try:
-            poles = PoleSet(tuple(draw), sep_min=spec.sep_min)
+            poles = PoleSet(tuple(draw))
             cert = certify(modal_coeffs(poles, x0))
         except (InvalidPoleSet, SingularMatrix):
             continue

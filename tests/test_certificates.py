@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from nosreg.certificates import certify, certify_n2, certify_n3_closedform
 from nosreg.errors import DimensionMismatch
-from nosreg.modal import PoleSet, modal_coeffs, natural_response
+from nosreg.modal import (ModalDecomposition, PoleSet, modal_coeffs, natural_response,
+                          vandermonde)
 
 SLOW_POLES = PoleSet((-4.847, -4.017, -2.432, -0.1032))
 
@@ -54,6 +55,19 @@ class TestCertify:
         # with alpha ~ (-5, 1, ~0) the response still crosses zero; the
         # score must fall back to the slowest active mode and reject
         cert = _cert_for_alpha([-5.0, 1.0, 1e-14])
+        assert not cert.passed
+
+    def test_tiny_opposing_slowest_mode_fails(self):
+        # e^{-2t} - 1e-13 e^{-t} changes sign near t = 13 ln 10 ~ 29.9, so a
+        # slowest coefficient 1e-13 of the largest must still be scored
+        poles = PoleSet((-2.0, -1.0))
+        alpha = np.array([1.0, -1e-13])
+        V = vandermonde(poles)
+        decomp = ModalDecomposition(poles=poles, V=V, alpha=alpha, x0=V @ alpha)
+        assert natural_response(decomp, 29.0) > 0.0 > natural_response(decomp, 31.0)
+        cert = certify(decomp)
+        assert cert.c == (1,)
+        assert cert.p_value < 0.0
         assert not cert.passed
 
     def test_verdict_does_not_depend_on_scale(self):

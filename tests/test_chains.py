@@ -131,21 +131,19 @@ def test_exosystem_validation():
 def test_plant_validation():
     noop = lambda *a: (0.0,)
     with pytest.raises(DimensionMismatch):
-        NonlinearPlant(state_dim=2, input_dim=1, degrees=(3,), dynamics=noop,
-                       output=noop, normal_map=noop, linearizing_feedback=noop)
-    with pytest.raises(DimensionMismatch):
-        NonlinearPlant(state_dim=4, input_dim=2, degrees=(4,), dynamics=noop,
+        NonlinearPlant(state_dim=2, degrees=(3,), dynamics=noop,
                        output=noop, normal_map=noop, linearizing_feedback=noop)
     with pytest.raises(InvalidOrder):
-        NonlinearPlant(state_dim=4, input_dim=1, degrees=(0,), dynamics=noop,
+        NonlinearPlant(state_dim=4, degrees=(0,), dynamics=noop,
                        output=noop, normal_map=noop, linearizing_feedback=noop)
 
 
 def test_plant_degrees_follow_the_chain_rule():
     noop = lambda *a: (0.0,)
     with pytest.raises(InvalidOrder):
-        NonlinearPlant(state_dim=4, input_dim=1, degrees=(2.5,), dynamics=noop,
+        NonlinearPlant(state_dim=4, degrees=(2.5,), dynamics=noop,
                        output=noop, normal_map=noop, linearizing_feedback=noop)
-    plant = NonlinearPlant(state_dim=4, input_dim=1, degrees=[4], dynamics=noop,
+    plant = NonlinearPlant(state_dim=4, degrees=[4], dynamics=noop,
                            output=noop, normal_map=noop, linearizing_feedback=noop)
     assert plant.degrees == (4,)
+    assert plant.input_dim == 1

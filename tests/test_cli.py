@@ -59,6 +59,16 @@ def test_unordered_poles_rejected_before_synthesis(tmp_path):
         == EXIT_VALIDATION
 
 
+def test_close_poles_reach_the_residual_guard(tmp_path, capsys):
+    # distinct poles 1e-9 apart are a valid PoleSet; for this offset the
+    # residual guard cannot resolve them, a synthesis failure
+    close = reference_config_dict(poles=[-4.847, -4.017, -2.432, -2.432 + 1e-9])
+    cfg = _write(tmp_path / "c.json", close)
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "g.json")]) \
+        == EXIT_SYNTHESIS
+    assert "ill-conditioned" in capsys.readouterr().err
+
+
 def test_certificate_failure_exit_code(tmp_path):
     bad = reference_config_dict(poles=SLOW_POLES)
     bad["initial"] = {"xi0": [1.0, 3.0, 1.0, 16.0]}   # p < 0 for these poles
@@ -257,10 +267,27 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
     ("sim", {"record_stride": 2.5}, "record_stride"),
     ("intervals", 5, "'intervals'"),
     ("exosystem", {"S": "abc", "H": [[1.0, 0.0]], "w0": [1.0, 0.0]}, "'exosystem.S'"),
+    ("sim", {"stpe": 0.01}, "unknown field 'sim.stpe'"),
+    ("search", {"max_trials": 10000, "seed": 1, "sep_min": 1e-6},
+     "unknown field 'search.sep_min'"),
+    ("initial", {"plant": "benchmark", "x0": [0.0, 2.0, -5.0, -4.0],
+                 "xi0": [0.0, 2.0, -5.0, 4.0]}, "unknown field 'initial.xi0'"),
+    ("exosystem", {"S": [[0.0, 1.0], [-1.0, 0.0]], "H": [[1.0, 0.0]], "w0": [1.0, 0.0],
+                   "w1": [0.0, 1.0]}, "unknown field 'exosystem.w1'"),
+    ("pole", [SLOW_POLES], "unknown field 'pole'"),
+    ("intervals", [[[-6.0, -4.5], [-4.5, -3.0], [-3.0, -1.5], [-1.5, 1.0]]],
+     "malformed field 'intervals': interval 3 must lie on the negative axis"),
+    ("intervals", [[[-4.5, -6.0], [-4.5, -3.0], [-3.0, -1.5], [-1.5, 0.0]]],
+     "malformed field 'intervals': interval 0 is empty"),
+    ("search", {"max_trials": 0}, "malformed field 'search.max_trials'"),
+    ("search", {"seed": -1}, "malformed field 'search.seed'"),
 ], ids=["degrees-scalar", "degrees-fractional", "exosystem-scalar",
         "initial-scalar", "pole-string", "sim-scalar", "sim-step-string",
         "max-trials-fractional", "seed-fractional", "record-stride-fractional",
-        "intervals-scalar", "exosystem-S-string"])
+        "intervals-scalar", "exosystem-S-string", "sim-unknown-key",
+        "search-sep-min", "initial-xi0-beside-plant", "exosystem-unknown-key",
+        "root-unknown-key", "interval-positive", "interval-empty",
+        "max-trials-zero", "seed-negative"])
 def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value, named):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     cfg_dict[field] = value

@@ -1,10 +1,12 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its config block loads."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from nosreg.cli import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,3 +20,12 @@ def test_readme_python_example_runs():
     done = subprocess.run([sys.executable, "-c", blocks[0]], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_config_block_loads(tmp_path):
+    blocks = re.findall(r"```jsonc\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "config.json"
+    path.write_text(re.sub(r"//.*", "", blocks[0]))
+    cfg = load_config(path)
+    assert cfg.pole_sets is not None and cfg.intervals is not None

@@ -61,7 +61,7 @@ class TestRK4Step:
         def dynamics(x, u):
             return (x[0] * 1e308 * 10.0,)
 
-        plant = NonlinearPlant(state_dim=1, input_dim=1, degrees=(1,),
+        plant = NonlinearPlant(state_dim=1, degrees=(1,),
                                dynamics=dynamics, output=lambda x: (x[0],),
                                normal_map=lambda x: x,
                                linearizing_feedback=lambda x, v: v)
@@ -137,7 +137,7 @@ class TestSimulateNonlinear:
             assert type(x[0]) is float and type(u[0]) is float
             return (u[0],)
 
-        plant = NonlinearPlant(state_dim=1, input_dim=1, degrees=(1,),
+        plant = NonlinearPlant(state_dim=1, degrees=(1,),
                                dynamics=dynamics, output=lambda x: (x[0],),
                                normal_map=lambda x: x,
                                linearizing_feedback=lambda x, v: v)
