@@ -92,7 +92,8 @@ def _field(data: dict, key: str, path: str, convert=None, default=_REQUIRED):
         return data[key]
     try:
         return convert(data[key])
-    except (TypeError, ValueError, DimensionMismatch, InvalidOrder, InvalidPoleSet) as exc:
+    except (TypeError, ValueError, OverflowError, DimensionMismatch, InvalidOrder,
+            InvalidPoleSet) as exc:
         raise ConfigError(f"malformed field '{path}{key}': {exc}") from exc
 
 
@@ -125,6 +126,18 @@ def _int(value) -> int:
     return as_int(value, "value")
 
 
+def _float(value) -> float:
+    """A JSON number as a float; ``float()`` would also take ``"0.01"`` and ``true``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _floats(value):
+    """A JSON array of numbers, nested to any depth, with every number read by ``_float``."""
+    return [_floats(item) for item in value] if isinstance(value, list) else _float(value)
+
+
 def _degrees(values) -> tuple[int, ...]:
     # JSON may spell a degree 4.0; the chain rule then checks every degree
     return assemble_mimo([_int(g) for g in values])
@@ -150,7 +163,8 @@ def load_config(path) -> ProblemConfig:
     gamma = sum(degrees)
 
     exo = _field(raw, "exosystem", "", lambda data: Exosystem(**{
-        key: _field(data, key, "exosystem.", convert) for key, convert in _known(
+        key: _field(data, key, "exosystem.", lambda v: convert(_floats(v)))
+        for key, convert in _known(
             data, "exosystem.", {"S": as_matrix, "H": as_matrix, "w0": as_vector}).items()}))
     if exo.num_outputs != p:
         raise ConfigError(f"exosystem.H has {exo.num_outputs} rows, expected {p}")
@@ -167,21 +181,21 @@ def load_config(path) -> ProblemConfig:
             raise ConfigError(f"plant '{plant_name}' has degrees {plant.degrees}, "
                               f"config says {degrees}")
         x0 = _field(init, "x0", "initial.",
-                    lambda v: as_vector(v, length=plant.state_dim))
+                    lambda v: as_vector(_floats(v), length=plant.state_dim))
         xi0 = as_vector(plant.normal_map(x0), length=gamma)
     elif "xi0" in init:
         # the normal form itself is the plant: identity chain map, u = v
         plant = chain_plant(degrees)
-        x0 = xi0 = _field(init, "xi0", "initial.", lambda v: as_vector(v, length=gamma))
+        x0 = xi0 = _field(init, "xi0", "initial.", lambda v: as_vector(_floats(v), length=gamma))
     else:
         raise ConfigError("'initial' needs either 'xi0' or 'plant' + 'x0'")
 
     srch = _field(raw, "search", "", default={})
     _known(srch, "search.", ("max_trials", "seed"))
     pole_sets = _field(raw, "poles", "", lambda lists: _per_subsystem(
-        lists, degrees, PoleSet), None)
+        _floats(lists), degrees, PoleSet), None)
     intervals = _field(raw, "intervals", "", lambda lists: _per_subsystem(
-        lists, degrees, lambda box: SearchSpec(box).intervals), None)
+        _floats(lists), degrees, lambda box: SearchSpec(box).intervals), None)
     return ProblemConfig(
         degrees=degrees, exo=exo, plant=plant, plant_name=plant_name,
         x0=x0, xi0=xi0, pole_sets=pole_sets, intervals=intervals,
@@ -189,7 +203,7 @@ def load_config(path) -> ProblemConfig:
         seed=_search_field(srch, "seed", 0),
         # record_stride goes through as_int: int() would truncate 2.5
         sim=_field(raw, "sim", "", lambda data: SimConfig(**{
-            key: _field(data, key, "sim.", float if isinstance(default, float) else _int,
+            key: _field(data, key, "sim.", _float if isinstance(default, float) else _int,
                         default)
             for key, default in _known(data, "sim.", asdict(SimConfig())).items()}),
             SimConfig()))
@@ -208,12 +222,12 @@ def load_gains(path, cfg: ProblemConfig) -> LoadedGains:
             raise ConfigError(f"gains were designed for degrees {degrees}, "
                               f"config says {cfg.degrees}")
         # no as_matrix: its atleast_2d would pass a flat F the simulator rejects
-        F, G = (_field(raw, key, "", lambda v: np.asarray(v, dtype=float))
+        F, G = (_field(raw, key, "", lambda v: np.asarray(_floats(v), dtype=float))
                 for key in ("F", "G"))
         p_values = []
         for j, sub in enumerate(_field(raw, "subsystems", "", list)):
             _field(sub, "poles", f"subsystems[{j}].")     # required, though unread
-            p_values.append(_field(sub, "p_value", f"subsystems[{j}].", float))
+            p_values.append(_field(sub, "p_value", f"subsystems[{j}].", _float))
     except ConfigError as exc:
         raise ConfigError(f"gains file {path}: {exc}") from exc
     return LoadedGains(F=F, G=G, p_values=tuple(p_values))

@@ -44,9 +44,9 @@ def as_vector(a, length: int | None = None) -> np.ndarray:
 
 
 def as_int(value, name: str) -> int:
-    """Coerce an integral number to ``int``; a fractional or non-numeric value is an error."""
-    if not (isinstance(value, (int, np.integer))
-            or isinstance(value, float) and value.is_integer()):
+    """Coerce an integral number to ``int``; a fraction, a bool or a non-number is an error."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       or isinstance(value, float) and value.is_integer()):
         raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -11,12 +11,19 @@ detection well defined.  One loop steps the state on plain Python floats
 by an order of magnitude) and keeps every ``record_stride``-th state; the
 outputs are evaluated from the kept states afterwards.  The
 :class:`Trajectory` field order is the CSV column order.
+
+Each step is one call of a straight-line function generated for the sizes
+``(n, m, gamma, p)`` and cached per size: the state travels as scalar
+arguments, and the gains, ``S``, the step and the plant callables are closure
+cells, never source text.  It does :func:`rk4_step`'s arithmetic in its
+order, so its trajectories are byte-identical to the generic loop's.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields
+from functools import cache, reduce
 from math import isfinite
 
 import numpy as np
@@ -103,7 +110,9 @@ def _rows(mat) -> tuple[tuple[float, ...], ...]:
 
 
 def _matvec(rows, vec) -> tuple[float, ...]:
-    return tuple([sum(map(operator.mul, row, vec)) for row in rows])
+    # a left fold from 0, which the compiled step writes out term by term;
+    # sum() folds floats this way only up to Python 3.11
+    return tuple([reduce(operator.add, map(operator.mul, row, vec), 0) for row in rows])
 
 
 def _gain_rows(gains: RegulatorGains | None, p: int, gamma: int, m: int):
@@ -117,6 +126,65 @@ def _gain_rows(gains: RegulatorGains | None, p: int, gamma: int, m: int):
         raise DimensionMismatch(
             f"gain G has shape {gains.G.shape}, expected {(p, m)}")
     return _rows(np.hstack([gains.F, gains.G]))
+
+
+@cache
+def _step_factory(n: int, m: int, gamma: int, p: int):
+    """Compile the straight-line closed-loop RK4 step for one shape.
+
+    The source is built from the sizes alone and names every value it uses.
+    The returned ``factory(K, S, h, h2, h6, normal_map, feedback, dynamics)``
+    takes the rows of ``[F G]`` and ``S``, the step, its half and its sixth
+    and the plant callables, and returns ``step(z0, ..., z{n+m-1})`` with
+    those as closure cells.  The arithmetic is :func:`rk4_step`'s over the
+    derivative ``(dynamics(x, feedback(x, v)), S w)`` with
+    ``v = [F G] (T(x), w)``.
+    """
+    K = [[f"K{i}_{j}" for j in range(gamma + m)] for i in range(p)]
+    S = [[f"S{i}_{j}" for j in range(m)] for i in range(m)]
+    xi = [f"xi{j}" for j in range(gamma)]
+    z = [f"z{j}" for j in range(n + m)]
+    y = [f"y{j}" for j in range(n + m)]
+
+    def tup(items):
+        return "(" + "".join(f"{s}, " for s in items) + ")"
+
+    def fold(row, vec):
+        # _matvec's association, so rounding and the sign of zero match it
+        return " + ".join(["0"] + [f"{a} * {b}" for a, b in zip(row, vec)])
+
+    def deriv(k, at):
+        x, w = at[:n], at[n:]
+        return [f"x = {tup(x)}",
+                f"{tup(xi)} = normal_map(x)",
+                f"u = feedback(x, {tup(fold(row, xi + w) for row in K)})",
+                f"{tup(f'k{k}_{j}' for j in range(n))} = dynamics(x, u)",
+                *(f"k{k}_{n + i} = {fold(row, w)}" for i, row in enumerate(S))]
+
+    def point(k, scale):
+        return [f"{yj} = {zj} + {scale} * k{k}_{j}" for j, (yj, zj) in enumerate(zip(y, z))]
+
+    new = tup(f"{zj} + h6 * (k1_{j} + 2.0 * (k2_{j} + k3_{j}) + k4_{j})"
+              for j, zj in enumerate(z))
+    body = [*deriv(1, z), *point(1, "h2"), *deriv(2, y), *point(2, "h2"),
+            *deriv(3, y), *point(3, "h"), *deriv(4, y), f"return {new}"]
+    src = "\n".join([
+        "def factory(K, S, h, h2, h6, normal_map, feedback, dynamics):",
+        f"    {tup(tup(row) for row in K)} = K",
+        f"    {tup(tup(row) for row in S)} = S",
+        f"    def step({', '.join(z)}):",
+        *(f"        {line}" for line in body),
+        "    return step"])
+    namespace = {}
+    exec(compile(src, f"<rk4 step n={n} m={m} gamma={gamma} p={p}>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _rk4_stepper(plant: NonlinearPlant, K_rows, S_rows, h: float):
+    """``step(*z)``: one RK4 step of the closed loop, compiled for its shape."""
+    factory = _step_factory(plant.state_dim, len(S_rows), sum(plant.degrees), len(K_rows))
+    return factory(K_rows, S_rows, h, 0.5 * h, h / 6.0,
+                   plant.normal_map, plant.linearizing_feedback, plant.dynamics)
 
 
 def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
@@ -137,22 +205,10 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
         raise DimensionMismatch("exosystem output count does not match the plant")
     x0 = as_vector(x0, length=n)
     K_rows = _gain_rows(gains, p, gamma, m)
-    S_rows = _rows(exo.S)
     H_rows = _rows(exo.H)
-    dynamics, output = plant.dynamics, plant.output
-    normal_map, feedback = plant.normal_map, plant.linearizing_feedback
-
-    def control(x, w):
-        v = _matvec(K_rows, tuple(normal_map(x)) + w)
-        return v, feedback(x, v)
-
-    def deriv(t, z):
-        x = z[:n]
-        w = z[n:]
-        v, u = control(x, w)
-        return tuple(dynamics(x, u)) + _matvec(S_rows, w)
-
+    output, normal_map, feedback = plant.output, plant.normal_map, plant.linearizing_feedback
     h = cfg.step
+    step = _rk4_stepper(plant, K_rows, _rows(exo.S), h)
     # tolist() gives Python floats; np.float64 elements would run the loop
     # on numpy scalars, with the same bytes but markedly slower
     z = tuple(x0.tolist() + exo.w0.tolist())
@@ -160,7 +216,7 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
     try:
         for k in range(int(round(cfg.horizon / h))):
             t = (k + 1) * h
-            z = rk4_step(deriv, k * h, z, h)
+            z = step(*z)
             if not all(map(isfinite, z)):
                 raise NonFiniteState(t)
             if (k + 1) % cfg.record_stride == 0:
@@ -168,9 +224,10 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
                 states.append(z)
         for t, z in zip(times, states):
             x, w = z[:n], z[n:]
-            v, u = control(x, w)
+            v = _matvec(K_rows, tuple(normal_map(x)) + w)
+            u = tuple(feedback(x, v))
             y, r = tuple(output(x)), _matvec(H_rows, w)
-            rows.append(y + r + tuple(ri - yi for ri, yi in zip(r, y)) + tuple(u) + v)
+            rows.append(y + r + tuple(ri - yi for ri, yi in zip(r, y)) + u + v)
     except OverflowError as exc:
         # float exponentiation overflow inside a plant map: same diagnosis as
         # a NaN/Inf state, the loop has escaped to infinity

@@ -281,13 +281,28 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
      "malformed field 'intervals': interval 0 is empty"),
     ("search", {"max_trials": 0}, "malformed field 'search.max_trials'"),
     ("search", {"seed": -1}, "malformed field 'search.seed'"),
+    # a number field takes only a JSON number: float() and as_int would read these
+    ("sim", {"step": "0.01"}, "malformed field 'sim.step'"),
+    ("sim", {"horizon": True}, "malformed field 'sim.horizon'"),
+    ("sim", {"step": 10 ** 400}, "malformed field 'sim.step'"),
+    ("sim", {"record_stride": True}, "malformed field 'sim.record_stride'"),
+    ("poles", [["-4.847", "-4.017", "-2.432", "-0.1032"]], "malformed field 'poles'"),
+    ("intervals", [[[-6.0, -4.5], [-4.5, -3.0], [-3.0, -1.5], [-1.5, "-0.05"]]],
+     "malformed field 'intervals'"),
+    ("exosystem", {"S": [[0.0, 1.0], [-1.0, 0.0]], "H": [[1.0, 0.0]], "w0": ["1.0", 0.0]},
+     "malformed field 'exosystem.w0'"),
+    ("initial", {"plant": "benchmark", "x0": [0.0, "2.0", -5.0, -4.0]},
+     "malformed field 'initial.x0'"),
 ], ids=["degrees-scalar", "degrees-fractional", "exosystem-scalar",
         "initial-scalar", "pole-string", "sim-scalar", "sim-step-string",
         "max-trials-fractional", "seed-fractional", "record-stride-fractional",
         "intervals-scalar", "exosystem-S-string", "sim-unknown-key",
         "search-sep-min", "initial-xi0-beside-plant", "exosystem-unknown-key",
         "root-unknown-key", "interval-positive", "interval-empty",
-        "max-trials-zero", "seed-negative"])
+        "max-trials-zero", "seed-negative", "sim-step-numeric-string",
+        "sim-horizon-bool", "sim-step-huge-int", "record-stride-bool",
+        "pole-numeric-string", "interval-numeric-string", "w0-numeric-string",
+        "x0-numeric-string"])
 def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value, named):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     cfg_dict[field] = value
@@ -302,11 +317,12 @@ def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value,
 @pytest.mark.parametrize("keys, value, named", [
     (("subsystems", 0, "poles"), None, "'subsystems[0].poles'"),
     (("subsystems", 0, "p_value"), "high", "'subsystems[0].p_value'"),
+    (("subsystems", 0, "p_value"), "0.5", "'subsystems[0].p_value'"),
     (("F",), "abc", "'F'"),
     (("degrees",), 4, "'degrees'"),
     (("subsystems",), 5, "'subsystems'"),
-], ids=["poles-missing", "p-value-string", "F-string", "degrees-scalar",
-        "subsystems-scalar"])
+], ids=["poles-missing", "p-value-string", "p-value-numeric-string", "F-string",
+        "degrees-scalar", "subsystems-scalar"])
 def test_malformed_gains_subsystem_exits_validation(tmp_path, config_path, capsys,
                                                     keys, value, named):
     gains = tmp_path / "gains.json"

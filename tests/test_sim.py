@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,13 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nosreg import sim
+from nosreg.acceptance import BANDS_MEDIUM
 from nosreg.chains import (Exosystem, NonlinearPlant, assemble_mimo, chain_plant,
-                           split_state)
+                           make_chain, split_state)
 from nosreg.errors import DimensionMismatch, NonFiniteState
 from nosreg.modal import PoleSet, modal_coeffs, natural_response
 from nosreg.plants import REFERENCE_X0, benchmark_plant
-from nosreg.regulation import synthesize
-from nosreg.sim import (SimConfig, detect_overshoot, rk4_step,
+from nosreg.polesearch import SearchSpec, search
+from nosreg.regulation import nominal_ic, solve_sylvester, synthesize
+from nosreg.sim import (SimConfig, Trajectory, detect_overshoot, rk4_step,
                         simulate_nonlinear, write_csv)
 
 ROTATION = Exosystem(S=[[0.0, 1.0], [-1.0, 0.0]], H=[[1.0, 0.0]], w0=[1.0, 0.0])
@@ -224,6 +230,115 @@ class TestSimulateNonlinear:
         with pytest.raises(NonFiniteState):
             simulate_nonlinear(benchmark_plant(), ROTATION, fast, REFERENCE_X0,
                                SimConfig(step=0.5, horizon=40.0, record_stride=1))
+
+
+def _reference_stepper(plant, K_rows, S_rows, h):
+    """The generic loop the compiled step replaced: ``rk4_step`` over a ``deriv`` closure."""
+    n = plant.state_dim
+
+    def deriv(t, z):
+        x, w = z[:n], z[n:]
+        v = sim._matvec(K_rows, tuple(plant.normal_map(x)) + w)
+        return (tuple(plant.dynamics(x, plant.linearizing_feedback(x, v)))
+                + sim._matvec(S_rows, w))
+
+    return lambda *z: rk4_step(deriv, 0.0, z, h)
+
+
+def _searched_benchmark_run():
+    Pi, _ = solve_sylvester(make_chain(4), ROTATION, ROTATION.H)
+    poles, _, _ = search(SearchSpec(BANDS_MEDIUM, seed=7), nominal_ic(XI0, Pi, ROTATION.w0))
+    return (benchmark_plant(), ROTATION, _benchmark_gains(poles), REFERENCE_X0,
+            SimConfig(horizon=10.0))
+
+
+def _mimo_stride_7_run():
+    gains = synthesize(assemble_mimo((2, 3)), ROTATION2, MIMO_XI0, MIMO_POLES)
+    return (chain_plant((2, 3)), ROTATION2, gains, MIMO_XI0,
+            SimConfig(horizon=10.0, record_stride=7))
+
+
+def _no_gains_run():
+    # every chain coordinate and exosystem state negative at the start, so
+    # each product in v is -0.0 and only the fold's leading 0 makes v +0.0
+    exo = Exosystem(S=ROTATION.S, H=np.eye(2), w0=[-1.0, -0.5])
+    return (chain_plant((2, 3)), exo, None, -np.abs(MIMO_XI0) - 0.1,
+            SimConfig(horizon=1.0, record_stride=1))
+
+
+class TestCompiledStep:
+    """The compiled step against the generic ``rk4_step`` loop it replaced."""
+
+    @pytest.mark.parametrize("run", [_searched_benchmark_run, _mimo_stride_7_run,
+                                     _no_gains_run],
+                             ids=["benchmark-searched", "mimo-stride-7", "no-gains"])
+    def test_byte_identical_to_rk4_step_loop(self, monkeypatch, run):
+        plant, exo, gains, x0, cfg = run()
+        negative_v, inner = [], plant.linearizing_feedback
+
+        def feedback(x, v):
+            negative_v.extend(np.signbit(v).tolist())
+            return inner(x, v)
+
+        plant = dataclasses.replace(plant, linearizing_feedback=feedback)
+        traj, report = simulate_nonlinear(plant, exo, gains, x0, cfg)
+        compiled_negative_v = any(negative_v)
+        monkeypatch.setattr(sim, "_rk4_stepper", _reference_stepper)
+        ref, ref_report = simulate_nonlinear(plant, exo, gains, x0, cfg)
+        for f in dataclasses.fields(Trajectory):
+            assert getattr(traj, f.name).tobytes() == getattr(ref, f.name).tobytes(), f.name
+        assert repr(report) == repr(ref_report)
+        if gains is None:
+            # a -0.0 in v would print as -0 in the CSV
+            assert not compiled_negative_v
+            assert not np.signbit(traj.v).any()
+
+    def test_plant_call_pattern(self):
+        # the tracer's plants.*.calls count these: four derivatives per step,
+        # each normal_map -> feedback -> dynamics, then one chain map and one
+        # feedback per kept sample
+        log = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                log.append(name)
+                return fn(*args)
+            return wrapper
+
+        plant = benchmark_plant()
+        plant = dataclasses.replace(plant, **{
+            name: counted(name, getattr(plant, name))
+            for name in ("dynamics", "normal_map", "linearizing_feedback")})
+        traj, _ = simulate_nonlinear(plant, ROTATION, _benchmark_gains(), REFERENCE_X0,
+                                     SimConfig(horizon=0.5, record_stride=10))
+        steps, kept = 500, traj.times.size
+        assert kept == 51
+        assert Counter(log) == {"dynamics": 4 * steps,
+                                "normal_map": 4 * steps + kept,
+                                "linearizing_feedback": 4 * steps + kept}
+        assert log[:12] == ["normal_map", "linearizing_feedback", "dynamics"] * 4
+
+    def test_source_depends_on_shape_only(self):
+        rng = np.random.default_rng(3)
+        plant = chain_plant((2, 3))
+        steppers, values = [], set()
+        for _ in range(2):
+            gains = rng.uniform(-5.0, 5.0, size=(2, 7))
+            exo = Exosystem(S=rng.uniform(-2.0, 2.0, size=(2, 2)), H=np.eye(2), w0=[1.0, 0.0])
+            h = float(rng.uniform(1e-4, 1e-2))
+            steppers.append(sim._rk4_stepper(plant, sim._rows(gains), sim._rows(exo.S), h))
+            values |= set(gains.ravel().tolist()) | set(exo.S.ravel().tolist())
+            values |= {h, 0.5 * h, h / 6.0}
+        a, b = steppers
+        assert a.__code__.co_code == b.__code__.co_code
+        # the values live in closure cells, never in the compiled source
+        assert set(gains.ravel().tolist()) <= {c.cell_contents for c in b.__closure__}
+        codes, consts = [sim._step_factory(5, 2, 5, 2).__code__], []
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            consts += [c for c in code.co_consts if not isinstance(c, types.CodeType)]
+        assert values.isdisjoint(consts)
 
 
 class TestBenchmarkPlant:
