@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -127,10 +128,17 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """A JSON number as a float; ``float()`` would also take ``"0.01"`` and ``true``."""
+    """A finite JSON number as a float.
+
+    ``float()`` would also take ``"0.01"`` and ``true``, and Python's ``json``
+    reads the non-JSON tokens ``NaN`` and ``Infinity``.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
 
 
 def _floats(value):

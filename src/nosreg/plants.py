@@ -53,15 +53,12 @@ def _normal_map(x):
             x4 + 2.0 * x1 * x3 + (2.0 * x2 + 6.0 * x1 * x1) * s)
 
 
-def _fourth_derivative(x):
+def _linearizing_feedback(x, v):
+    # u = v - d4(x)
     x1, x2, x3, x4 = x
     x1sq = x1 * x1
-    return (24.0 * x1sq * x1sq * x1 + 40.0 * x1sq * x1 * x2 + 16.0 * x1 * x2 * x2
-            + 10.0 * x1sq * x3 + 6.0 * x2 * x3 + 2.0 * x1 * x4)
-
-
-def _linearizing_feedback(x, v):
-    return (v[0] - _fourth_derivative(x),)
+    return (v[0] - (24.0 * x1sq * x1sq * x1 + 40.0 * x1sq * x1 * x2 + 16.0 * x1 * x2 * x2
+                    + 10.0 * x1sq * x3 + 6.0 * x2 * x3 + 2.0 * x1 * x4),)
 
 
 def benchmark_plant() -> NonlinearPlant:

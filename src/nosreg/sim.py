@@ -6,17 +6,20 @@ form as the plant :func:`~nosreg.chains.chain_plant` (identity chain map,
 ``u = v``).  Classical RK4 on a uniform grid, with the exosystem integrated
 jointly with the plant.  Fixed stepping keeps runs deterministic (identical
 inputs give byte-identical trajectories) and makes sample-bracket overshoot
-detection well defined.  One loop steps the state on plain Python floats
+detection well defined.  The loop steps the state on plain Python floats
 (a handful of components, where float arithmetic beats small-array overhead
-by an order of magnitude) and keeps every ``record_stride``-th state; the
-outputs are evaluated from the kept states afterwards.  The
-:class:`Trajectory` field order is the CSV column order.
+by an order of magnitude), one compiled call per ``record_stride`` steps.
+The :class:`Trajectory` field order is the CSV column order.
 
-Each step is one call of a straight-line function generated for the sizes
+Each call runs a straight-line RK4 loop generated for the sizes
 ``(n, m, gamma, p)`` and cached per size: the state travels as scalar
-arguments, and the gains, ``S``, the step and the plant callables are closure
-cells, never source text.  It does :func:`rk4_step`'s arithmetic in its
-order, so its trajectories are byte-identical to the generic loop's.
+arguments and locals, and the gains, ``S``, the step and the plant callables
+are closure cells, never source text.  It does :func:`rk4_step`'s arithmetic
+in its order, so its trajectories are byte-identical to a per-step loop's.
+It also returns the ``v`` and ``u`` of its first derivative, which are the
+kept start state's, so only the last kept state evaluates them again.  A
+block is checked for finiteness at its end, and a block that fails is
+replayed one step at a time to report the first step that failed.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields
 from functools import cache, reduce
+from itertools import zip_longest
 from math import isfinite
 
 import numpy as np
@@ -53,8 +57,12 @@ class SimConfig:
             raise DimensionMismatch("step must be positive")
         if self.horizon < self.step:
             raise DimensionMismatch("horizon must cover at least one step")
+        if not isfinite(self.horizon / self.step):
+            raise DimensionMismatch("horizon / step must be a finite number of steps")
         if self.record_stride < 1:
             raise DimensionMismatch("record_stride must be >= 1")
+        if not (self.zero_band >= 0.0):
+            raise DimensionMismatch("zero_band must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +118,9 @@ def _rows(mat) -> tuple[tuple[float, ...], ...]:
 
 
 def _matvec(rows, vec) -> tuple[float, ...]:
-    # a left fold from 0, which the compiled step writes out term by term;
+    # a left fold from 0.0, which the compiled loop writes out term by term;
     # sum() folds floats this way only up to Python 3.11
-    return tuple([reduce(operator.add, map(operator.mul, row, vec), 0) for row in rows])
+    return tuple([reduce(operator.add, map(operator.mul, row, vec), 0.0) for row in rows])
 
 
 def _gain_rows(gains: RegulatorGains | None, p: int, gamma: int, m: int):
@@ -130,14 +138,16 @@ def _gain_rows(gains: RegulatorGains | None, p: int, gamma: int, m: int):
 
 @cache
 def _step_factory(n: int, m: int, gamma: int, p: int):
-    """Compile the straight-line closed-loop RK4 step for one shape.
+    """Compile the straight-line closed-loop RK4 loop for one shape.
 
     The source is built from the sizes alone and names every value it uses.
     The returned ``factory(K, S, h, h2, h6, normal_map, feedback, dynamics)``
     takes the rows of ``[F G]`` and ``S``, the step, its half and its sixth
-    and the plant callables, and returns ``step(z0, ..., z{n+m-1})`` with
-    those as closure cells.  The arithmetic is :func:`rk4_step`'s over the
-    derivative ``(dynamics(x, feedback(x, v)), S w)`` with
+    and the plant callables, and returns ``advance(count, z0, ..., z{n+m-1})``
+    with those as closure cells.  ``advance`` takes ``count >= 1`` steps and
+    returns the new state with the ``v`` and ``u`` of its first derivative,
+    which are the start state's.  Each step is :func:`rk4_step`'s arithmetic
+    over the derivative ``(dynamics(x, feedback(x, v)), S w)`` with
     ``v = [F G] (T(x), w)``.
     """
     K = [[f"K{i}_{j}" for j in range(gamma + m)] for i in range(p)]
@@ -151,40 +161,69 @@ def _step_factory(n: int, m: int, gamma: int, p: int):
 
     def fold(row, vec):
         # _matvec's association, so rounding and the sign of zero match it
-        return " + ".join(["0"] + [f"{a} * {b}" for a, b in zip(row, vec)])
+        return " + ".join(["0.0"] + [f"{a} * {b}" for a, b in zip(row, vec)])
 
-    def deriv(k, at):
+    def deriv(k, at, keep=False):
         x, w = at[:n], at[n:]
+        v = tup(fold(row, xi + w) for row in K)
         return [f"x = {tup(x)}",
                 f"{tup(xi)} = normal_map(x)",
-                f"u = feedback(x, {tup(fold(row, xi + w) for row in K)})",
-                f"{tup(f'k{k}_{j}' for j in range(n))} = dynamics(x, u)",
+                *([f"v = {v}", "u = feedback(x, v)"] if keep else []),
+                f"{tup(f'k{k}_{j}' for j in range(n))} = "
+                f"dynamics(x, {'u' if keep else f'feedback(x, {v})'})",
                 *(f"k{k}_{n + i} = {fold(row, w)}" for i, row in enumerate(S))]
 
     def point(k, scale):
         return [f"{yj} = {zj} + {scale} * k{k}_{j}" for j, (yj, zj) in enumerate(zip(y, z))]
 
-    new = tup(f"{zj} + h6 * (k1_{j} + 2.0 * (k2_{j} + k3_{j}) + k4_{j})"
-              for j, zj in enumerate(z))
-    body = [*deriv(1, z), *point(1, "h2"), *deriv(2, y), *point(2, "h2"),
-            *deriv(3, y), *point(3, "h"), *deriv(4, y), f"return {new}"]
+    def step(keep=False):
+        return [*deriv(1, z, keep), *point(1, "h2"), *deriv(2, y), *point(2, "h2"),
+                *deriv(3, y), *point(3, "h"), *deriv(4, y),
+                *(f"{zj} = {zj} + h6 * (k1_{j} + 2.0 * (k2_{j} + k3_{j}) + k4_{j})"
+                  for j, zj in enumerate(z))]
+
+    # the first step is written out, so only it binds the start state's v and u
+    body = [*step(keep=True), "for _ in range(count - 1):",
+            *(f"    {line}" for line in step()), f"return {tup(z)}, v, u"]
     src = "\n".join([
         "def factory(K, S, h, h2, h6, normal_map, feedback, dynamics):",
         f"    {tup(tup(row) for row in K)} = K",
         f"    {tup(tup(row) for row in S)} = S",
-        f"    def step({', '.join(z)}):",
+        f"    def advance(count, {', '.join(z)}):",
         *(f"        {line}" for line in body),
-        "    return step"])
+        "    return advance"])
     namespace = {}
-    exec(compile(src, f"<rk4 step n={n} m={m} gamma={gamma} p={p}>", "exec"), namespace)
+    exec(compile(src, f"<rk4 loop n={n} m={m} gamma={gamma} p={p}>", "exec"), namespace)
     return namespace["factory"]
 
 
 def _rk4_stepper(plant: NonlinearPlant, K_rows, S_rows, h: float):
-    """``step(*z)``: one RK4 step of the closed loop, compiled for its shape."""
+    """``advance(count, *z)``: ``count`` RK4 steps of the closed loop, compiled for its shape."""
     factory = _step_factory(plant.state_dim, len(S_rows), sum(plant.degrees), len(K_rows))
     return factory(K_rows, S_rows, h, 0.5 * h, h / 6.0,
                    plant.normal_map, plant.linearizing_feedback, plant.dynamics)
+
+
+def _raise_first_fault(advance, z, k: int, count: int, h: float):
+    """Replay steps ``k + 1 .. k + count`` from ``z`` one at a time and raise their fault.
+
+    A block that raised or ended non-finite fails the same way step by step,
+    so this raises what a per-step loop raises: ``NonFiniteState(t)`` at the
+    first step whose state is not finite or whose plant maps overflow, or the
+    plant's own error unchanged.
+    """
+    for k in range(k, k + count):
+        t = (k + 1) * h
+        try:
+            z = advance(1, *z)[0]
+        except OverflowError as exc:
+            # float exponentiation overflow inside a plant map: same diagnosis
+            # as a NaN/Inf state, the loop has escaped to infinity
+            raise NonFiniteState(t) from exc
+        if not all(map(isfinite, z)):
+            raise NonFiniteState(t)
+    raise RuntimeError("a block of steps failed, but not one step at a time: "
+                       "the plant maps are not deterministic")
 
 
 def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
@@ -207,30 +246,44 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
     K_rows = _gain_rows(gains, p, gamma, m)
     H_rows = _rows(exo.H)
     output, normal_map, feedback = plant.output, plant.normal_map, plant.linearizing_feedback
-    h = cfg.step
-    step = _rk4_stepper(plant, K_rows, _rows(exo.S), h)
+    h, stride = cfg.step, cfg.record_stride
+    steps = int(round(cfg.horizon / h))
+    advance = _rk4_stepper(plant, K_rows, _rows(exo.S), h)
     # tolist() gives Python floats; np.float64 elements would run the loop
     # on numpy scalars, with the same bytes but markedly slower
     z = tuple(x0.tolist() + exo.w0.tolist())
-    times, states, rows = [0.0], [z], []
+    states, pairs = [], []
+    for k in range(0, steps, stride):
+        # one block per kept state.  A non-finite component stays non-finite
+        # through z + h6 * (...), so a finite block end means finite steps; any
+        # error may follow an earlier non-finite step, so a block that raises
+        # is replayed too
+        count = min(stride, steps - k)
+        try:
+            end, v, u = advance(count, *z)
+            finite = all(map(isfinite, end))
+        except Exception:
+            finite = False
+        if not finite:
+            _raise_first_fault(advance, z, k, count, h)
+        states.append(z)
+        pairs.append((v, u))
+        z = end
+    if steps % stride == 0:
+        states.append(z)
+    times = [k * h for k in range(0, steps + 1, stride)]
+    rows = []
     try:
-        for k in range(int(round(cfg.horizon / h))):
-            t = (k + 1) * h
-            z = step(*z)
-            if not all(map(isfinite, z)):
-                raise NonFiniteState(t)
-            if (k + 1) % cfg.record_stride == 0:
-                times.append(t)
-                states.append(z)
-        for t, z in zip(times, states):
+        # pairs lacks only the last kept state's entry, when no block starts there
+        for t, z, vu in zip_longest(times, states, pairs):
             x, w = z[:n], z[n:]
-            v = _matvec(K_rows, tuple(normal_map(x)) + w)
-            u = tuple(feedback(x, v))
+            if vu is None:
+                v = _matvec(K_rows, tuple(normal_map(x)) + w)
+                vu = v, feedback(x, v)
+            v, u = vu
             y, r = tuple(output(x)), _matvec(H_rows, w)
-            rows.append(y + r + tuple(ri - yi for ri, yi in zip(r, y)) + u + v)
+            rows.append(y + r + tuple(ri - yi for ri, yi in zip(r, y)) + tuple(u) + v)
     except OverflowError as exc:
-        # float exponentiation overflow inside a plant map: same diagnosis as
-        # a NaN/Inf state, the loop has escaped to infinity
         raise NonFiniteState(t) from exc
     # each row holds y, r, e, u, v: with t, x, w that is the Trajectory field order
     traj = Trajectory(np.array(times), *np.hsplit(np.array(states), [n]),

@@ -293,6 +293,11 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
      "malformed field 'exosystem.w0'"),
     ("initial", {"plant": "benchmark", "x0": [0.0, "2.0", -5.0, -4.0]},
      "malformed field 'initial.x0'"),
+    # Python's json reads NaN and Infinity, which are not JSON numbers
+    ("sim", {"zero_band": float("nan")}, "malformed field 'sim.zero_band'"),
+    ("sim", {"zero_band": -1e-9}, "malformed field 'sim': zero_band"),
+    ("sim", {"horizon": float("inf")}, "malformed field 'sim.horizon'"),
+    ("sim", {"step": 1e-300, "horizon": 1e300}, "malformed field 'sim': horizon / step"),
 ], ids=["degrees-scalar", "degrees-fractional", "exosystem-scalar",
         "initial-scalar", "pole-string", "sim-scalar", "sim-step-string",
         "max-trials-fractional", "seed-fractional", "record-stride-fractional",
@@ -302,7 +307,8 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
         "max-trials-zero", "seed-negative", "sim-step-numeric-string",
         "sim-horizon-bool", "sim-step-huge-int", "record-stride-bool",
         "pole-numeric-string", "interval-numeric-string", "w0-numeric-string",
-        "x0-numeric-string"])
+        "x0-numeric-string", "sim-zero-band-nan", "sim-zero-band-negative",
+        "sim-horizon-infinity", "sim-step-count-overflow"])
 def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value, named):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     cfg_dict[field] = value
@@ -321,8 +327,10 @@ def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value,
     (("F",), "abc", "'F'"),
     (("degrees",), 4, "'degrees'"),
     (("subsystems",), 5, "'subsystems'"),
+    (("F", 0, 0), float("nan"), "malformed field 'F'"),
+    (("subsystems", 0, "p_value"), float("nan"), "'subsystems[0].p_value'"),
 ], ids=["poles-missing", "p-value-string", "p-value-numeric-string", "F-string",
-        "degrees-scalar", "subsystems-scalar"])
+        "degrees-scalar", "subsystems-scalar", "F-nan", "p-value-nan"])
 def test_malformed_gains_subsystem_exits_validation(tmp_path, config_path, capsys,
                                                     keys, value, named):
     gains = tmp_path / "gains.json"

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 import types
 from collections import Counter
 
@@ -232,17 +234,56 @@ class TestSimulateNonlinear:
                                SimConfig(step=0.5, horizon=40.0, record_stride=1))
 
 
-def _reference_stepper(plant, K_rows, S_rows, h):
-    """The generic loop the compiled step replaced: ``rk4_step`` over a ``deriv`` closure."""
-    n = plant.state_dim
+def _reference_run(plant, exo, gains, x0, cfg):
+    """The per-step loop the compiled blocks replaced: ``rk4_step`` on every
+    step with a finiteness check, then a record pass over the kept states."""
+    n, h = plant.state_dim, cfg.step
+    K = (np.zeros((plant.input_dim, sum(plant.degrees) + exo.dim)) if gains is None
+         else np.hstack([gains.F, gains.G])).tolist()
+    S, H = exo.S.tolist(), exo.H.tolist()
+
+    def matvec(rows, vec):
+        return tuple(functools.reduce(operator.add, map(operator.mul, row, vec), 0)
+                     for row in rows)
 
     def deriv(t, z):
         x, w = z[:n], z[n:]
-        v = sim._matvec(K_rows, tuple(plant.normal_map(x)) + w)
-        return (tuple(plant.dynamics(x, plant.linearizing_feedback(x, v)))
-                + sim._matvec(S_rows, w))
+        v = matvec(K, tuple(plant.normal_map(x)) + w)
+        return tuple(plant.dynamics(x, plant.linearizing_feedback(x, v))) + matvec(S, w)
 
-    return lambda *z: rk4_step(deriv, 0.0, z, h)
+    z = tuple(np.asarray(x0, dtype=float).tolist() + exo.w0.tolist())
+    times, states, rows = [0.0], [z], []
+    try:
+        for k in range(int(round(cfg.horizon / h))):
+            t = (k + 1) * h
+            z = rk4_step(deriv, t, z, h)
+            if not all(map(math.isfinite, z)):
+                raise NonFiniteState(t)
+            if (k + 1) % cfg.record_stride == 0:
+                times.append(t)
+                states.append(z)
+        for t, z in zip(times, states):
+            x, w = z[:n], z[n:]
+            v = matvec(K, tuple(plant.normal_map(x)) + w)
+            u = tuple(plant.linearizing_feedback(x, v))
+            y, r = tuple(plant.output(x)), matvec(H, w)
+            rows.append(y + r + tuple(ri - yi for ri, yi in zip(r, y)) + u + v)
+    except OverflowError as exc:
+        raise NonFiniteState(t) from exc
+    traj = Trajectory(np.array(times), *np.hsplit(np.array(states), [n]),
+                      *np.hsplit(np.array(rows), 5))
+    return traj, detect_overshoot(traj.times, traj.e, cfg.zero_band)
+
+
+def _outcome(simulate, plant, exo, gains, x0, cfg):
+    """Every output byte of a run, or the error it raised with its time and cause."""
+    try:
+        traj, report = simulate(plant, exo, gains, x0, cfg)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "t", None),
+                type(exc.__cause__).__name__)
+    return (*(getattr(traj, f.name).tobytes() for f in dataclasses.fields(Trajectory)),
+            repr(report))
 
 
 def _searched_benchmark_run():
@@ -266,13 +307,56 @@ def _no_gains_run():
             SimConfig(horizon=1.0, record_stride=1))
 
 
+def _stride_1_run():
+    return (benchmark_plant(), ROTATION, _benchmark_gains(), REFERENCE_X0,
+            SimConfig(horizon=1.0, record_stride=1))
+
+
+def _short_run():
+    # 5 steps, fewer than one stride: one short block and a single kept sample
+    return (benchmark_plant(), ROTATION, _benchmark_gains(), REFERENCE_X0,
+            SimConfig(horizon=0.005, record_stride=10))
+
+
+def _escape_run(square, normal_map=lambda x: x):
+    # x' = x^2 from x = 1 escapes at t = 1; on this grid step 103, the 5th
+    # step of a 7-step block, is the first to leave the finite range
+    plant = NonlinearPlant(state_dim=1, degrees=(1,),
+                           dynamics=lambda x, u: (square(x[0]) + u[0],),
+                           output=lambda x: (x[0],), normal_map=normal_map,
+                           linearizing_feedback=lambda x, v: v)
+    return (plant, Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0]), None, (1.0,),
+            SimConfig(step=0.01, horizon=2.0, record_stride=7))
+
+
+def _blow_up_run():
+    return _escape_run(lambda x: x * x)          # reaches inf
+
+
+def _overflow_run():
+    return _escape_run(lambda x: x ** 2.0)       # raises OverflowError first
+
+
+def _plant_error_run():
+    def normal_map(x):
+        if abs(x[0]) > 1e6:
+            raise ValueError(f"chain map undefined at {x[0]!r}")
+        return x
+
+    return _escape_run(lambda x: x * x, normal_map)
+
+
 class TestCompiledStep:
-    """The compiled step against the generic ``rk4_step`` loop it replaced."""
+    """The compiled blocks against the per-step ``rk4_step`` loop they replaced."""
 
     @pytest.mark.parametrize("run", [_searched_benchmark_run, _mimo_stride_7_run,
-                                     _no_gains_run],
-                             ids=["benchmark-searched", "mimo-stride-7", "no-gains"])
-    def test_byte_identical_to_rk4_step_loop(self, monkeypatch, run):
+                                     _no_gains_run, _stride_1_run, _short_run,
+                                     _blow_up_run, _overflow_run, _plant_error_run],
+                             ids=["benchmark-searched", "mimo-stride-7", "no-gains",
+                                  "stride-1", "fewer-steps-than-stride",
+                                  "blow-up-mid-block", "overflow-mid-block",
+                                  "plant-error-mid-block"])
+    def test_byte_identical_to_rk4_step_loop(self, run):
         plant, exo, gains, x0, cfg = run()
         negative_v, inner = [], plant.linearizing_feedback
 
@@ -281,22 +365,43 @@ class TestCompiledStep:
             return inner(x, v)
 
         plant = dataclasses.replace(plant, linearizing_feedback=feedback)
-        traj, report = simulate_nonlinear(plant, exo, gains, x0, cfg)
+        outcome = _outcome(simulate_nonlinear, plant, exo, gains, x0, cfg)
         compiled_negative_v = any(negative_v)
-        monkeypatch.setattr(sim, "_rk4_stepper", _reference_stepper)
-        ref, ref_report = simulate_nonlinear(plant, exo, gains, x0, cfg)
-        for f in dataclasses.fields(Trajectory):
-            assert getattr(traj, f.name).tobytes() == getattr(ref, f.name).tobytes(), f.name
-        assert repr(report) == repr(ref_report)
-        if gains is None:
+        assert outcome == _outcome(_reference_run, plant, exo, gains, x0, cfg)
+        if run in (_blow_up_run, _overflow_run):
+            # the fault lies inside a block, and only the overflow has a cause
+            assert outcome[0] == "NonFiniteState"
+            assert round(outcome[2] / cfg.step) % cfg.record_stride not in (0, 1)
+            assert outcome[3] == ("OverflowError" if run is _overflow_run else "NoneType")
+        elif run is _plant_error_run:
+            assert outcome[0] == "ValueError"
+        elif gains is None:
             # a -0.0 in v would print as -0 in the CSV
             assert not compiled_negative_v
-            assert not np.signbit(traj.v).any()
+            assert not np.signbit(np.frombuffer(outcome[7])).any()      # the v field
+
+    def test_nondeterministic_plant_is_reported(self):
+        # a block that fails and then replays cleanly has no step to blame
+        calls = Counter()
+
+        def dynamics(x, u):
+            calls["dynamics"] += 1
+            if calls["dynamics"] == 5:
+                raise ValueError("fails once")
+            return (u[0],)
+
+        plant = NonlinearPlant(state_dim=1, degrees=(1,), dynamics=dynamics,
+                               output=lambda x: (x[0],), normal_map=lambda x: x,
+                               linearizing_feedback=lambda x, v: v)
+        with pytest.raises(RuntimeError, match="not deterministic"):
+            simulate_nonlinear(plant, Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0]), None,
+                               (1.0,), SimConfig(step=0.1, horizon=1.0))
 
     def test_plant_call_pattern(self):
         # the tracer's plants.*.calls count these: four derivatives per step,
-        # each normal_map -> feedback -> dynamics, then one chain map and one
-        # feedback per kept sample
+        # each normal_map -> feedback -> dynamics; a kept sample's v and u
+        # come from the first derivative of the step after it, so only the
+        # last kept sample costs one more chain map and feedback
         log = []
 
         def counted(name, fn):
@@ -314,8 +419,8 @@ class TestCompiledStep:
         steps, kept = 500, traj.times.size
         assert kept == 51
         assert Counter(log) == {"dynamics": 4 * steps,
-                                "normal_map": 4 * steps + kept,
-                                "linearizing_feedback": 4 * steps + kept}
+                                "normal_map": 4 * steps + 1,
+                                "linearizing_feedback": 4 * steps + 1}
         assert log[:12] == ["normal_map", "linearizing_feedback", "dynamics"] * 4
 
     def test_source_depends_on_shape_only(self):
@@ -339,6 +444,13 @@ class TestCompiledStep:
             codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
             consts += [c for c in code.co_consts if not isinstance(c, types.CodeType)]
         assert values.isdisjoint(consts)
+
+    def test_advance_reads_only_locals_and_cells(self):
+        # every value the loop uses is an argument, a local or a closure
+        # cell; a global or builtin lookup per step would cost a dict probe
+        advance = sim._rk4_stepper(benchmark_plant(), sim._gain_rows(None, 1, 4, 2),
+                                   sim._rows(ROTATION.S), 1e-3)
+        assert advance.__code__.co_names == ("range",)
 
 
 class TestBenchmarkPlant:
