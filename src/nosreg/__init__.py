@@ -23,7 +23,7 @@ from .polesearch import SearchSpec, search
 from .regulation import (RegulatorGains, SubsystemGains, nominal_ic,
                          solve_sylvester, synthesize)
 from .sim import (OvershootReport, SimConfig, Trajectory, detect_overshoot,
-                  rk4_step, simulate_nonlinear, write_csv)
+                  simulate_nonlinear, write_csv)
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "assemble_mimo", "benchmark_plant", "certify", "certify_n2",
     "certify_n3_closedform", "chain_plant", "detect_overshoot", "lu_solve",
     "make_chain", "modal_coeffs", "moore_feedback", "natural_response",
-    "nominal_ic", "rk4_step", "search",
-    "simulate_nonlinear", "solve_sylvester", "split_state", "synthesize",
-    "write_csv",
+    "nominal_ic", "search", "simulate_nonlinear", "solve_sylvester",
+    "split_state", "synthesize", "write_csv",
 ]

@@ -55,7 +55,6 @@ class ProblemConfig:
     degrees: tuple[int, ...]
     exo: Exosystem
     plant: NonlinearPlant
-    plant_name: str | None
     x0: np.ndarray
     xi0: np.ndarray
     pole_sets: tuple[PoleSet, ...] | None
@@ -177,26 +176,23 @@ def load_config(path) -> ProblemConfig:
     if exo.num_outputs != p:
         raise ConfigError(f"exosystem.H has {exo.num_outputs} rows, expected {p}")
 
+    # one initial state, the plant's own: x0 of a named plant, or xi0 of the
+    # normal form itself as the chain plant (identity chain map, u = v)
     init = _field(raw, "initial", "")
-    plant_name = _field(init, "plant", "initial.", default=None)
-    _known(init, "initial.", ("plant", "xi0" if plant_name is None else "x0"))
-    if plant_name is not None:
-        if not isinstance(plant_name, str) or plant_name not in BUILTIN_PLANTS:
-            raise ConfigError(f"unknown plant '{plant_name}'; "
-                              f"available: {sorted(BUILTIN_PLANTS)}")
-        plant = BUILTIN_PLANTS[plant_name]()
-        if plant.degrees != degrees:
-            raise ConfigError(f"plant '{plant_name}' has degrees {plant.degrees}, "
-                              f"config says {degrees}")
-        x0 = _field(init, "x0", "initial.",
-                    lambda v: as_vector(_floats(v), length=plant.state_dim))
-        xi0 = as_vector(plant.normal_map(x0), length=gamma)
-    elif "xi0" in init:
-        # the normal form itself is the plant: identity chain map, u = v
+    name = _field(init, "plant", "initial.", default=None)
+    key = "xi0" if name is None else "x0"
+    _known(init, "initial.", ("plant", key))
+    if name is None:
         plant = chain_plant(degrees)
-        x0 = xi0 = _field(init, "xi0", "initial.", lambda v: as_vector(_floats(v), length=gamma))
+    elif not isinstance(name, str) or name not in BUILTIN_PLANTS:
+        raise ConfigError(f"unknown plant '{name}'; available: {sorted(BUILTIN_PLANTS)}")
     else:
-        raise ConfigError("'initial' needs either 'xi0' or 'plant' + 'x0'")
+        plant = BUILTIN_PLANTS[name]()
+        if plant.degrees != degrees:
+            raise ConfigError(f"plant '{name}' has degrees {plant.degrees}, "
+                              f"config says {degrees}")
+    x0 = _field(init, key, "initial.", lambda v: as_vector(_floats(v), length=plant.state_dim))
+    xi0 = as_vector(plant.normal_map(x0), length=gamma)
 
     srch = _field(raw, "search", "", default={})
     _known(srch, "search.", ("max_trials", "seed"))
@@ -205,8 +201,8 @@ def load_config(path) -> ProblemConfig:
     intervals = _field(raw, "intervals", "", lambda lists: _per_subsystem(
         _floats(lists), degrees, lambda box: SearchSpec(box).intervals), None)
     return ProblemConfig(
-        degrees=degrees, exo=exo, plant=plant, plant_name=plant_name,
-        x0=x0, xi0=xi0, pole_sets=pole_sets, intervals=intervals,
+        degrees=degrees, exo=exo, plant=plant, x0=x0, xi0=xi0,
+        pole_sets=pole_sets, intervals=intervals,
         max_trials=_search_field(srch, "max_trials", DEFAULT_MAX_TRIALS),
         seed=_search_field(srch, "seed", 0),
         # record_stride goes through as_int: int() would truncate 2.5
@@ -221,6 +217,14 @@ def write_gains(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _p_values(subs, degrees) -> tuple[float, ...]:
+    """Each gains-file subsystem's ``p_value``, once its ``poles`` pass the config's rule."""
+    _per_subsystem([_field(sub, "poles", f"subsystems[{j}].", _floats)
+                    for j, sub in enumerate(subs)], degrees, PoleSet)
+    return tuple(_field(sub, "p_value", f"subsystems[{j}].", _float)
+                 for j, sub in enumerate(subs))
+
+
 def load_gains(path, cfg: ProblemConfig) -> LoadedGains:
     """Read a gains file; its F and G shapes are checked by the simulator."""
     raw = _read_json(path, "gains file")
@@ -232,16 +236,13 @@ def load_gains(path, cfg: ProblemConfig) -> LoadedGains:
         # no as_matrix: its atleast_2d would pass a flat F the simulator rejects
         F, G = (_field(raw, key, "", lambda v: np.asarray(_floats(v), dtype=float))
                 for key in ("F", "G"))
-        p_values = []
-        for j, sub in enumerate(_field(raw, "subsystems", "", list)):
-            _field(sub, "poles", f"subsystems[{j}].")     # required, though unread
-            p_values.append(_field(sub, "p_value", f"subsystems[{j}].", _float))
+        p_values = _field(raw, "subsystems", "", lambda subs: _p_values(subs, degrees))
     except ConfigError as exc:
         raise ConfigError(f"gains file {path}: {exc}") from exc
-    return LoadedGains(F=F, G=G, p_values=tuple(p_values))
+    return LoadedGains(F=F, G=G, p_values=p_values)
 
 
-def _write_design(cfg: ProblemConfig, pole_sets, out_path, seed=None, trials=None) -> int:
+def _write_design(cfg: ProblemConfig, pole_sets, out_path, trials=None) -> int:
     """Synthesize gains for ``pole_sets``, write the gains file and print a summary."""
     gains = synthesize(cfg.degrees, cfg.exo, cfg.xi0, pole_sets)
     subs = []
@@ -264,8 +265,8 @@ def _write_design(cfg: ProblemConfig, pole_sets, out_path, seed=None, trials=Non
         "F": gains.F.tolist(),
         "G": gains.G.tolist(),
     }
-    if seed is not None:
-        payload["seed"] = seed
+    if trials is not None:      # a searched design: its seed, beside its trials
+        payload["seed"] = cfg.seed
     write_gains(out_path, payload)
     for j, sub in enumerate(gains.subsystems):
         poles = ", ".join(f"{l:.6g}" for l in sub.poles.lambdas)
@@ -289,12 +290,11 @@ def cmd_design(config_path, out_path) -> int:
     return _write_design(cfg, cfg.pole_sets, out_path)
 
 
-def cmd_search(config_path, out_path, seed: int | None = None) -> int:
+def cmd_search(config_path, out_path) -> int:
     """Search the configured pole intervals per subsystem, then design and write gains."""
     cfg = load_config(config_path)
     if cfg.intervals is None:
         raise ConfigError("'search' needs 'intervals' in the config")
-    base_seed = cfg.seed if seed is None else int(seed)
     xi_blocks = split_state(cfg.xi0, cfg.degrees)
 
     found, trials = [], []
@@ -302,13 +302,13 @@ def cmd_search(config_path, out_path, seed: int | None = None) -> int:
         Pi_j, _ = solve_sylvester(make_chain(g), cfg.exo, cfg.exo.H[j:j + 1])
         xt0_j = nominal_ic(xi_blocks[j], Pi_j, cfg.exo.w0)
         spec = SearchSpec(intervals=cfg.intervals[j], max_trials=cfg.max_trials,
-                          seed=base_seed + j)
+                          seed=cfg.seed + j)
         poles, cert, used = search(spec, xt0_j)
         print(f"subsystem {j}: passing poles after {used} trial(s), "
               f"p = {cert.p_value:.6g}")
         found.append(poles)
         trials.append(used)
-    return _write_design(cfg, tuple(found), out_path, seed=base_seed, trials=trials)
+    return _write_design(cfg, tuple(found), out_path, trials=trials)
 
 
 def gnuplot_script(csv_path, plot_path, columns) -> str:
@@ -381,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="search pole intervals, then synthesize gains")
     s.add_argument("--config", required=True)
-    s.add_argument("--seed", type=int, default=None,
-                   help="override the seed from the config")
     s.add_argument("--out", required=True)
 
     m = sub.add_parser("simulate", help="simulate the closed loop under a gains file")
@@ -402,7 +400,7 @@ def main(argv=None) -> int:
         if args.command == "design":
             return cmd_design(args.config, args.out)
         if args.command == "search":
-            return cmd_search(args.config, args.out, seed=args.seed)
+            return cmd_search(args.config, args.out)
         if args.command == "simulate":
             return cmd_simulate(args.config, args.gains, args.csv, args.plot)
         return cmd_reproduce_example()

@@ -14,8 +14,9 @@ The :class:`Trajectory` field order is the CSV column order.
 Each call runs a straight-line RK4 loop generated for the sizes
 ``(n, m, gamma, p)`` and cached per size: the state travels as scalar
 arguments and locals, and the gains, ``S``, the step and the plant callables
-are closure cells, never source text.  It does :func:`rk4_step`'s arithmetic
-in its order, so its trajectories are byte-identical to a per-step loop's.
+are closure cells, never source text.  It does ``tests/reference.py``'s
+``rk4_step`` arithmetic in its order, so its trajectories are byte-identical
+to a per-step loop's.
 It also returns the ``v`` and ``u`` of its first derivative, which are the
 kept start state's, so only the last kept state evaluates them again.  A
 block is checked for finiteness at its end, and a block that fails is
@@ -39,6 +40,10 @@ from .regulation import RegulatorGains
 
 DEFAULT_ZERO_BAND = 1e-9
 
+# the most steps a run may take: over a minute for the degree-4 plant at about
+# 7 us a step, and as many kept states at record_stride 1.  No run needs more
+MAX_STEPS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -57,8 +62,8 @@ class SimConfig:
             raise DimensionMismatch("step must be positive")
         if self.horizon < self.step:
             raise DimensionMismatch("horizon must cover at least one step")
-        if not isfinite(self.horizon / self.step):
-            raise DimensionMismatch("horizon / step must be a finite number of steps")
+        if not (self.horizon / self.step <= MAX_STEPS):
+            raise DimensionMismatch(f"horizon / step must be at most {MAX_STEPS} steps")
         if self.record_stride < 1:
             raise DimensionMismatch("record_stride must be >= 1")
         if not (self.zero_band >= 0.0):
@@ -97,22 +102,6 @@ class OvershootReport:
         return any(self.sign_changed)
 
 
-def rk4_step(deriv, t: float, z: tuple, h: float) -> tuple:
-    """One classical 4th-order Runge-Kutta update of ``z' = deriv(t, z)``.
-
-    ``z`` and the values ``deriv`` returns are tuples of floats; the result
-    is the next state as a tuple.
-    """
-    h2 = 0.5 * h
-    k1 = deriv(t, z)
-    k2 = deriv(t + h2, tuple(zi + h2 * ki for zi, ki in zip(z, k1)))
-    k3 = deriv(t + h2, tuple(zi + h2 * ki for zi, ki in zip(z, k2)))
-    k4 = deriv(t + h, tuple(zi + h * ki for zi, ki in zip(z, k3)))
-    s = h / 6.0
-    return tuple(zi + s * (a + 2.0 * (b + c) + d)
-                 for zi, a, b, c, d in zip(z, k1, k2, k3, k4))
-
-
 def _rows(mat) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in row) for row in np.atleast_2d(mat))
 
@@ -146,9 +135,9 @@ def _step_factory(n: int, m: int, gamma: int, p: int):
     and the plant callables, and returns ``advance(count, z0, ..., z{n+m-1})``
     with those as closure cells.  ``advance`` takes ``count >= 1`` steps and
     returns the new state with the ``v`` and ``u`` of its first derivative,
-    which are the start state's.  Each step is :func:`rk4_step`'s arithmetic
-    over the derivative ``(dynamics(x, feedback(x, v)), S w)`` with
-    ``v = [F G] (T(x), w)``.
+    which are the start state's.  Each step is ``tests/reference.py``'s
+    ``rk4_step`` arithmetic over the derivative
+    ``(dynamics(x, feedback(x, v)), S w)`` with ``v = [F G] (T(x), w)``.
     """
     K = [[f"K{i}_{j}" for j in range(gamma + m)] for i in range(p)]
     S = [[f"S{i}_{j}" for j in range(m)] for i in range(m)]

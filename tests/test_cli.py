@@ -133,7 +133,10 @@ def test_search_is_seed_deterministic(tmp_path, capsys):
     assert main(["search", "--config", cfg, "--out", str(g1)]) == 0
     assert main(["search", "--config", cfg, "--out", str(g2)]) == 0
     assert g1.read_bytes() == g2.read_bytes()
-    assert main(["search", "--config", cfg, "--seed", "77", "--out", str(g3)]) == 0
+    reseeded = reference_config_dict()
+    reseeded["search"]["seed"] = 77
+    cfg = _write(tmp_path / "c77.json", reseeded)
+    assert main(["search", "--config", cfg, "--out", str(g3)]) == 0
     assert g1.read_bytes() != g3.read_bytes()
     payload = json.loads(g3.read_text())
     assert payload["seed"] == 77
@@ -298,6 +301,9 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
     ("sim", {"zero_band": -1e-9}, "malformed field 'sim': zero_band"),
     ("sim", {"horizon": float("inf")}, "malformed field 'sim.horizon'"),
     ("sim", {"step": 1e-300, "horizon": 1e300}, "malformed field 'sim': horizon / step"),
+    # finite, but about 1e303 steps: a run that would never finish
+    ("sim", {"step": 1e-3, "horizon": 1e300}, "malformed field 'sim': horizon / step"),
+    ("initial", {}, "missing field 'initial.xi0'"),
 ], ids=["degrees-scalar", "degrees-fractional", "exosystem-scalar",
         "initial-scalar", "pole-string", "sim-scalar", "sim-step-string",
         "max-trials-fractional", "seed-fractional", "record-stride-fractional",
@@ -308,7 +314,8 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
         "sim-horizon-bool", "sim-step-huge-int", "record-stride-bool",
         "pole-numeric-string", "interval-numeric-string", "w0-numeric-string",
         "x0-numeric-string", "sim-zero-band-nan", "sim-zero-band-negative",
-        "sim-horizon-infinity", "sim-step-count-overflow"])
+        "sim-horizon-infinity", "sim-step-count-overflow", "sim-step-count-huge",
+        "initial-empty"])
 def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value, named):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     cfg_dict[field] = value
@@ -329,8 +336,15 @@ def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value,
     (("subsystems",), 5, "'subsystems'"),
     (("F", 0, 0), float("nan"), "malformed field 'F'"),
     (("subsystems", 0, "p_value"), float("nan"), "'subsystems[0].p_value'"),
+    (("subsystems",), [], "malformed field 'subsystems': must list one entry"),
+    (("subsystems",), lambda subs: subs * 2,
+     "malformed field 'subsystems': must list one entry"),
+    (("subsystems", 0, "poles"), "banana", "malformed field 'subsystems[0].poles'"),
+    (("subsystems", 0, "poles"), SLOW_POLES[::-1],
+     "malformed field 'subsystems': poles must strictly increase"),
 ], ids=["poles-missing", "p-value-string", "p-value-numeric-string", "F-string",
-        "degrees-scalar", "subsystems-scalar", "F-nan", "p-value-nan"])
+        "degrees-scalar", "subsystems-scalar", "F-nan", "p-value-nan",
+        "subsystems-empty", "subsystems-extra", "poles-string", "poles-unordered"])
 def test_malformed_gains_subsystem_exits_validation(tmp_path, config_path, capsys,
                                                     keys, value, named):
     gains = tmp_path / "gains.json"
@@ -341,6 +355,8 @@ def test_malformed_gains_subsystem_exits_validation(tmp_path, config_path, capsy
         parent = parent[key]
     if value is None:
         del parent[keys[-1]]
+    elif callable(value):
+        parent[keys[-1]] = value(parent[keys[-1]])
     else:
         parent[keys[-1]] = value
     gains.write_text(json.dumps(payload))
@@ -353,8 +369,10 @@ def test_malformed_gains_subsystem_exits_validation(tmp_path, config_path, capsy
 
 
 def test_negative_seed_exits_validation(tmp_path, capsys):
-    cfg = _write(tmp_path / "c.json", reference_config_dict())
-    assert main(["search", "--config", cfg, "--seed", "-5",
+    cfg_dict = reference_config_dict()
+    cfg_dict["search"]["seed"] = -5
+    cfg = _write(tmp_path / "c.json", cfg_dict)
+    assert main(["search", "--config", cfg,
                  "--out", str(tmp_path / "g.json")]) == EXIT_VALIDATION
     assert "seed must be non-negative" in capsys.readouterr().err
 

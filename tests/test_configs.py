@@ -8,7 +8,7 @@ import pytest
 from nosreg.acceptance import (BANDS_FAST, BANDS_MEDIUM, BANDS_SLOW,
                                EXO_H, EXO_S, EXO_W0, POLES_SLOW)
 from nosreg.cli import load_config
-from nosreg.plants import REFERENCE_X0
+from nosreg.plants import REFERENCE_X0, benchmark_plant
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -22,7 +22,7 @@ def test_search_configs_match_scenario(name, bands):
     cfg = load_config(CONFIG_DIR / name)
     assert cfg.degrees == (4,)
     assert cfg.intervals == (bands,)
-    assert cfg.plant_name == "benchmark"
+    assert cfg.plant.normal_map is benchmark_plant().normal_map
     np.testing.assert_array_equal(cfg.x0, REFERENCE_X0)
     np.testing.assert_array_equal(cfg.exo.S, EXO_S)
     np.testing.assert_array_equal(cfg.exo.H, EXO_H)

@@ -10,7 +10,7 @@ from nosreg.chains import make_chain
 from nosreg.errors import InvalidPoleSet, SingularMatrix
 from nosreg.modal import (PoleSet, modal_coeffs, moore_feedback,
                           natural_response, vandermonde)
-from nosreg.sim import rk4_step
+from reference import rk4_step
 
 SLOW_POLES = PoleSet((-4.847, -4.017, -2.432, -0.1032))
 

