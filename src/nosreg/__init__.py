@@ -15,7 +15,6 @@ from .chains import (ChainSystem, Exosystem, NonlinearPlant, assemble_mimo,
 from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
                      InvalidOrder, InvalidPoleSet, NonFiniteState,
                      NosregError, SearchExhausted, SingularMatrix)
-from .linalg import lu_solve
 from .modal import (ModalDecomposition, PoleSet, modal_coeffs, moore_feedback,
                     natural_response)
 from .plants import BUILTIN_PLANTS, REFERENCE_X0, benchmark_plant
@@ -35,7 +34,7 @@ __all__ = [
     "REFERENCE_X0", "RegulatorGains", "SearchExhausted", "SearchSpec",
     "SimConfig", "SingularMatrix", "SubsystemGains", "Trajectory",
     "assemble_mimo", "benchmark_plant", "certify", "certify_n2",
-    "certify_n3_closedform", "chain_plant", "detect_overshoot", "lu_solve",
+    "certify_n3_closedform", "chain_plant", "detect_overshoot",
     "make_chain", "modal_coeffs", "moore_feedback", "natural_response",
     "nominal_ic", "search", "simulate_nonlinear", "solve_sylvester",
     "split_state", "synthesize", "write_csv",

@@ -64,7 +64,7 @@ def reference_exosystem() -> Exosystem:
     return Exosystem(S=EXO_S, H=EXO_H, w0=EXO_W0)
 
 
-def reference_config_dict(intervals=BANDS_SLOW, poles=None, seed=20250808) -> dict:
+def reference_config_dict(intervals=BANDS_SLOW, poles=None) -> dict:
     """Problem-config payload for the bundled scenario (plant IC form)."""
     cfg = {
         "degrees": [4],
@@ -72,7 +72,7 @@ def reference_config_dict(intervals=BANDS_SLOW, poles=None, seed=20250808) -> di
                       "H": [list(r) for r in EXO_H],
                       "w0": list(EXO_W0)},
         "initial": {"plant": "benchmark", "x0": list(REFERENCE_X0)},
-        "search": {"max_trials": 10000, "seed": seed},
+        "search": {"max_trials": 10000, "seed": 20250808},
         "sim": {"step": 1e-3, "horizon": 40.0, "record_stride": 10,
                 "zero_band": 1e-9},
     }
@@ -304,22 +304,22 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def run_all(workdir=None) -> list[CriterionResult]:
-    """Execute every criterion; results in declaration order."""
-    if workdir is None:
-        workdir = Path(tempfile.mkdtemp(prefix="nosreg-accept-"))
-    else:
-        workdir = Path(workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
-    return [
-        check_sylvester_reproduction(),
-        check_gain_reproduction(),
-        check_modal_coefficients(),
-        check_pole_placement(),
-        check_end_to_end_nonovershoot(),
-        check_certificate_soundness_sweep(),
-        check_quadrant_rule(),
-        check_cubic_consistency(),
-        check_search_performance(workdir),
-        check_determinism(workdir),
-    ]
+def run_all() -> list[CriterionResult]:
+    """Execute every criterion; results in declaration order.
+
+    The CLI criteria write their files to a temporary directory, removed on return.
+    """
+    with tempfile.TemporaryDirectory(prefix="nosreg-accept-") as tmp:
+        workdir = Path(tmp)
+        return [
+            check_sylvester_reproduction(),
+            check_gain_reproduction(),
+            check_modal_coefficients(),
+            check_pole_placement(),
+            check_end_to_end_nonovershoot(),
+            check_certificate_soundness_sweep(),
+            check_quadrant_rule(),
+            check_cubic_consistency(),
+            check_search_performance(workdir),
+            check_determinism(workdir),
+        ]

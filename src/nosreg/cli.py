@@ -120,6 +120,8 @@ def _read_json(path, what: str):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: "
                           f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:   # json's parser recurses once per nested array
+        raise ConfigError(f"{what} {path} is nested too deeply to read") from exc
 
 
 def _int(value) -> int:
@@ -140,9 +142,16 @@ def _float(value) -> float:
     return value
 
 
-def _floats(value):
-    """A JSON array of numbers, nested to any depth, with every number read by ``_float``."""
-    return [_floats(item) for item in value] if isinstance(value, list) else _float(value)
+def _floats(value, depth: int = 3):
+    """A JSON number, or an array of them nested at most ``depth`` deep, read by ``_float``.
+
+    No field nests deeper than ``intervals``: subsystem, interval, end.
+    """
+    if not isinstance(value, list):
+        return _float(value)
+    if depth == 0:
+        raise ValueError("arrays nested too deeply")
+    return [_floats(item, depth - 1) for item in value]
 
 
 def _degrees(values) -> tuple[int, ...]:

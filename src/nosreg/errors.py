@@ -6,11 +6,7 @@ class NosregError(Exception):
 
 
 class SingularMatrix(NosregError):
-    """A linear solve failed: unacceptable residual, or a vanishing LU pivot (``pivot_index``)."""
-
-    def __init__(self, message: str, pivot_index: int | None = None):
-        self.pivot_index = pivot_index
-        super().__init__(message)
+    """The modal coefficients failed ``modal_coeffs``' residual guard: the poles are too close."""
 
 
 class InvalidOrder(NosregError):

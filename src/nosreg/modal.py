@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# no library path calls lu_solve; bench/tracing.py SITES patch the name
+from numpy.linalg import solve as lu_solve
 
 from .errors import InvalidPoleSet, SingularMatrix
-# lu_solve is unused here; the benchmark tracer patches nosreg.modal.lu_solve
-from .linalg import as_vector, lu_solve
+from .linalg import as_vector
 
 
 @dataclass(frozen=True)

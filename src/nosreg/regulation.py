@@ -22,13 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# no library path calls lu_solve; bench/tracing.py SITES patch the name
+from numpy.linalg import solve as lu_solve
 
 from .certificates import Certificate, certify
 from .chains import (ChainSystem, Exosystem, assemble_mimo, block_slices,
                      make_chain, split_state)
 from .errors import CertificateFailed, DimensionMismatch, SingularMatrix
-# lu_solve is unused here; the benchmark tracer patches nosreg.regulation.lu_solve
-from .linalg import as_matrix, as_vector, lu_solve
+from .linalg import as_matrix, as_vector
 from .modal import ModalDecomposition, PoleSet, modal_coeffs, moore_feedback
 
 

@@ -4,6 +4,8 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one pass/fail line per
 criterion (the same lines ``nosreg reproduce-example`` prints).
 """
 
+import tempfile
+
 import pytest
 
 from nosreg.acceptance import run_all
@@ -23,13 +25,24 @@ CRITERIA = [
 
 
 @pytest.fixture(scope="module")
-def results(tmp_path_factory):
-    workdir = tmp_path_factory.mktemp("acceptance")
-    return {r.name: r for r in run_all(workdir)}
+def tempdir(tmp_path_factory):
+    """The directory ``tempfile`` uses while ``results`` runs."""
+    return tmp_path_factory.mktemp("acceptance-tmp")
+
+
+@pytest.fixture(scope="module")
+def results(tempdir):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tempfile, "tempdir", str(tempdir))
+        return {r.name: r for r in run_all()}
 
 
 def test_every_criterion_is_reported(results):
     assert sorted(results) == sorted(CRITERIA)
+
+
+def test_run_leaves_no_temporary_files(results, tempdir):
+    assert list(tempdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", CRITERIA)

@@ -12,6 +12,13 @@ from nosreg.cli import (EXIT_CODES, EXIT_SEARCH, EXIT_SIMULATION, EXIT_SYNTHESIS
 SLOW_POLES = [-4.847, -4.017, -2.432, -0.1032]
 
 
+def _nested(value, depth):
+    """``value`` wrapped in ``depth`` one-element arrays."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def _write(path, payload):
     path.write_text(json.dumps(payload, indent=1))
     return str(path)
@@ -304,6 +311,9 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
     # finite, but about 1e303 steps: a run that would never finish
     ("sim", {"step": 1e-3, "horizon": 1e300}, "malformed field 'sim': horizon / step"),
     ("initial", {}, "missing field 'initial.xi0'"),
+    # _floats recurses once per array level, so depth is capped before Python's limit
+    ("exosystem", {"S": [[0.0, 1.0], [-1.0, 0.0]], "H": [[1.0, 0.0]],
+                   "w0": _nested([1.0, 0.0], 900)}, "malformed field 'exosystem.w0'"),
 ], ids=["degrees-scalar", "degrees-fractional", "exosystem-scalar",
         "initial-scalar", "pole-string", "sim-scalar", "sim-step-string",
         "max-trials-fractional", "seed-fractional", "record-stride-fractional",
@@ -315,7 +325,7 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
         "pole-numeric-string", "interval-numeric-string", "w0-numeric-string",
         "x0-numeric-string", "sim-zero-band-nan", "sim-zero-band-negative",
         "sim-horizon-infinity", "sim-step-count-overflow", "sim-step-count-huge",
-        "initial-empty"])
+        "initial-empty", "w0-nested-deep"])
 def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value, named):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     cfg_dict[field] = value
@@ -366,6 +376,20 @@ def test_malformed_gains_subsystem_exits_validation(tmp_path, config_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: gains file {gains}: ")
     assert named in err
+
+
+@pytest.mark.parametrize("what", ["config", "gains file"], ids=["config", "gains"])
+def test_deeply_nested_file_exits_validation(tmp_path, config_path, capsys, what):
+    # json's parser recurses once per array: 100 000 levels pass any recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    if what == "config":
+        argv = ["design", "--config", str(deep), "--out", str(tmp_path / "g.json")]
+    else:
+        argv = ["simulate", "--config", config_path, "--gains", str(deep),
+                "--csv", str(tmp_path / "t.csv"), "--plot", str(tmp_path / "t.gp")]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {what} {deep} is nested too deeply to read\n"
 
 
 def test_negative_seed_exits_validation(tmp_path, capsys):
