@@ -6,7 +6,8 @@ message names the field, and the file too for a gains file; a config key that
 no reader asks for is named as an unknown field.  Exit codes
 (``EXIT_CODES``): 0 success, 2 validation or an unwritable output path,
 3 synthesis or certificate failure, 4 search exhausted, 5 simulation failure
-(non-finite state or detected overshoot).
+(non-finite state or detected overshoot); ``reproduce-example`` exits 1 when
+a criterion fails.
 """
 
 from __future__ import annotations
@@ -200,8 +201,13 @@ def load_config(path) -> ProblemConfig:
         if plant.degrees != degrees:
             raise ConfigError(f"plant '{name}' has degrees {plant.degrees}, "
                               f"config says {degrees}")
-    x0 = _field(init, key, "initial.", lambda v: as_vector(_floats(v), length=plant.state_dim))
-    xi0 = as_vector(plant.normal_map(x0), length=gamma)
+    def initial_state(value):
+        # the chain map runs on floats, as in the simulator: on numpy scalars
+        # an overflow would warn before as_vector rejects it
+        x0 = as_vector(_floats(value), length=plant.state_dim)
+        return x0, as_vector(plant.normal_map(x0.tolist()), length=gamma)
+
+    x0, xi0 = _field(init, key, "initial.", initial_state)
 
     srch = _field(raw, "search", "", default={})
     _known(srch, "search.", ("max_trials", "seed"))
@@ -326,13 +332,16 @@ def gnuplot_script(csv_path, plot_path, columns) -> str:
         return ", ".join(f"csv using 1:{i + 1} with lines title '{name}'"
                          for i, name in enumerate(columns) if name[0] == block)
 
-    img = str(Path(plot_path).with_suffix(".png"))
+    def quoted(path):
+        # gnuplot's single-quoted string: a doubled quote is a literal one
+        return "'" + str(path).replace("'", "''") + "'"
+
     return (
         "# generated plot script: tracking errors and control inputs\n"
-        f"csv = '{csv_path}'\n"
+        f"csv = {quoted(csv_path)}\n"
         "set datafile separator ','\n"
         "set terminal pngcairo size 1200,450\n"
-        f"set output '{img}'\n"
+        f"set output {quoted(Path(plot_path).with_suffix('.png'))}\n"
         "set multiplot layout 1,2\n"
         "set grid\n"
         "set xlabel 't [s]'\n"

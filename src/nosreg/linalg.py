@@ -27,8 +27,13 @@ def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray
 
 
 def as_vector(a, length: int | None = None) -> np.ndarray:
-    """Coerce ``a`` to a finite 1-D float array, optionally checking its length."""
-    v = np.asarray(a, dtype=float).reshape(-1)
+    """Coerce ``a`` to a finite 1-D float array, optionally checking its length.
+
+    A scalar is a length-1 vector; a nested array is an error, never flattened.
+    """
+    v = np.atleast_1d(np.asarray(a, dtype=float))
+    if v.ndim != 1:
+        raise DimensionMismatch(f"expected a vector, got ndim={v.ndim}")
     if not np.all(np.isfinite(v)):
         raise DimensionMismatch("vector entries must be finite (no NaN/Inf)")
     if length is not None and v.size != length:

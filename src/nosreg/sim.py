@@ -8,27 +8,24 @@ jointly with the plant.  Fixed stepping keeps runs deterministic (identical
 inputs give byte-identical trajectories) and makes sample-bracket overshoot
 detection well defined.  The loop steps the state on plain Python floats
 (a handful of components, where float arithmetic beats small-array overhead
-by an order of magnitude), one compiled call per ``record_stride`` steps.
+by an order of magnitude), one compiled call per kept state.
 The :class:`Trajectory` field order is the CSV column order.
 
 Each call runs a straight-line RK4 loop generated for the sizes
 ``(n, m, gamma, p)`` and cached per size: the state travels as scalar
-arguments and locals, and the gains, ``S``, the step and the plant callables
-are closure cells, never source text.  It does ``tests/reference.py``'s
+arguments and locals, and the gains, ``S``, ``H``, the step and the plant
+maps are closure cells, never source text.  It does ``tests/reference.py``'s
 ``rk4_step`` arithmetic in its order, so its trajectories are byte-identical
-to a per-step loop's.
-It also returns the ``v`` and ``u`` of its first derivative, which are the
-kept start state's, so only the last kept state evaluates them again.  A
-block is checked for finiteness at its end, and a block that fails is
-replayed one step at a time to report the first step that failed.
+to a per-step loop's.  It also returns its kept start state's sample, with
+the ``v`` and ``u`` of its first derivative, so a run is one pass and the
+last kept state takes no step.  A block is checked for finiteness at its end,
+and a block that fails is replayed to report the first fault.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields
-from functools import cache, reduce
-from itertools import zip_longest
+from functools import cache
 from math import isfinite
 
 import numpy as np
@@ -62,8 +59,13 @@ class SimConfig:
             raise DimensionMismatch("step must be positive")
         if self.horizon < self.step:
             raise DimensionMismatch("horizon must cover at least one step")
-        if not (self.horizon / self.step <= MAX_STEPS):
+        steps = self.horizon / self.step
+        if not (steps <= MAX_STEPS):
             raise DimensionMismatch(f"horizon / step must be at most {MAX_STEPS} steps")
+        if abs(steps - round(steps)) > 1e-6:
+            # the run would end at round(steps) * step, not at the horizon
+            raise DimensionMismatch(f"horizon must be a whole number of steps, "
+                                    f"got horizon / step = {steps!r}")
         if self.record_stride < 1:
             raise DimensionMismatch("record_stride must be >= 1")
         if not (self.zero_band >= 0.0):
@@ -106,12 +108,6 @@ def _rows(mat) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in row) for row in np.atleast_2d(mat))
 
 
-def _matvec(rows, vec) -> tuple[float, ...]:
-    # a left fold from 0.0, which the compiled loop writes out term by term;
-    # sum() folds floats this way only up to Python 3.11
-    return tuple([reduce(operator.add, map(operator.mul, row, vec), 0.0) for row in rows])
-
-
 def _gain_rows(gains: RegulatorGains | None, p: int, gamma: int, m: int):
     """Rows of the stacked gain ``[F G]``, so that ``v = [F G] (xi, w)``."""
     if gains is None:
@@ -130,17 +126,19 @@ def _step_factory(n: int, m: int, gamma: int, p: int):
     """Compile the straight-line closed-loop RK4 loop for one shape.
 
     The source is built from the sizes alone and names every value it uses.
-    The returned ``factory(K, S, h, h2, h6, normal_map, feedback, dynamics)``
-    takes the rows of ``[F G]`` and ``S``, the step, its half and its sixth
-    and the plant callables, and returns ``advance(count, z0, ..., z{n+m-1})``
-    with those as closure cells.  ``advance`` takes ``count >= 1`` steps and
-    returns the new state with the ``v`` and ``u`` of its first derivative,
-    which are the start state's.  Each step is ``tests/reference.py``'s
+    The returned ``factory(K, S, H, h, h2, h6, normal_map, feedback, dynamics,
+    output)`` takes the rows of ``[F G]``, ``S`` and ``H``, the step, its half
+    and its sixth and the plant maps, and returns ``advance(count, observe,
+    z0, ..., z{n+m-1})`` with those as closure cells.  ``advance`` takes
+    ``count >= 0`` steps and returns the new state with, if ``observe``, the
+    start state's sample ``y + r + e + u + v`` (else ``None``), whose ``v``
+    and ``u`` are the first derivative's.  Each step is ``tests/reference.py``'s
     ``rk4_step`` arithmetic over the derivative
     ``(dynamics(x, feedback(x, v)), S w)`` with ``v = [F G] (T(x), w)``.
     """
     K = [[f"K{i}_{j}" for j in range(gamma + m)] for i in range(p)]
     S = [[f"S{i}_{j}" for j in range(m)] for i in range(m)]
+    H = [[f"H{i}_{j}" for j in range(m)] for i in range(p)]
     xi = [f"xi{j}" for j in range(gamma)]
     z = [f"z{j}" for j in range(n + m)]
     y = [f"y{j}" for j in range(n + m)]
@@ -149,36 +147,44 @@ def _step_factory(n: int, m: int, gamma: int, p: int):
         return "(" + "".join(f"{s}, " for s in items) + ")"
 
     def fold(row, vec):
-        # _matvec's association, so rounding and the sign of zero match it
+        # a left fold from 0.0: sum() folds floats this way only up to
+        # Python 3.11, and the leading 0.0 makes an all -0.0 product +0.0
         return " + ".join(["0.0"] + [f"{a} * {b}" for a, b in zip(row, vec)])
 
-    def deriv(k, at, keep=False):
-        x, w = at[:n], at[n:]
-        v = tup(fold(row, xi + w) for row in K)
-        return [f"x = {tup(x)}",
-                f"{tup(xi)} = normal_map(x)",
-                *([f"v = {v}", "u = feedback(x, v)"] if keep else []),
-                f"{tup(f'k{k}_{j}' for j in range(n))} = "
-                f"dynamics(x, {'u' if keep else f'feedback(x, {v})'})",
-                *(f"k{k}_{n + i} = {fold(row, w)}" for i, row in enumerate(S))]
+    def head(at):
+        return [f"x = {tup(at[:n])}", f"{tup(xi)} = normal_map(x)",
+                f"v = {tup(fold(row, xi + at[n:]) for row in K)}", "u = feedback(x, v)"]
+
+    def deriv(k, at, first=False):
+        # the first derivative of a block reads the start state's head
+        return [*([] if first else head(at)),
+                f"{tup(f'k{k}_{j}' for j in range(n))} = dynamics(x, u)",
+                *(f"k{k}_{n + i} = {fold(row, at[n:])}" for i, row in enumerate(S))]
 
     def point(k, scale):
         return [f"{yj} = {zj} + {scale} * k{k}_{j}" for j, (yj, zj) in enumerate(zip(y, z))]
 
-    def step(keep=False):
-        return [*deriv(1, z, keep), *point(1, "h2"), *deriv(2, y), *point(2, "h2"),
+    def step(first=False):
+        return [*deriv(1, z, first), *point(1, "h2"), *deriv(2, y), *point(2, "h2"),
                 *deriv(3, y), *point(3, "h"), *deriv(4, y),
                 *(f"{zj} = {zj} + h6 * (k1_{j} + 2.0 * (k2_{j} + k3_{j}) + k4_{j})"
                   for j, zj in enumerate(z))]
 
-    # the first step is written out, so only it binds the start state's v and u
-    body = [*step(keep=True), "for _ in range(count - 1):",
-            *(f"    {line}" for line in step()), f"return {tup(z)}, v, u"]
+    # the start state's head serves both its sample and its first step,
+    # which is written out so that only it skips the head
+    body = [*head(z), "sample = None", "if observe:", "    out = output(x)",
+            f"    ref = {tup(fold(row, z[n:]) for row in H)}",
+            f"    sample = (*out, *ref, {''.join(f'ref[{i}] - out[{i}], ' for i in range(p))}"
+            "*u, *v)",
+            "if count:", *(f"    {line}" for line in step(first=True)),
+            "    for _ in range(count - 1):", *(f"        {line}" for line in step()),
+            f"return {tup(z)}, sample"]
     src = "\n".join([
-        "def factory(K, S, h, h2, h6, normal_map, feedback, dynamics):",
+        "def factory(K, S, H, h, h2, h6, normal_map, feedback, dynamics, output):",
         f"    {tup(tup(row) for row in K)} = K",
         f"    {tup(tup(row) for row in S)} = S",
-        f"    def advance(count, {', '.join(z)}):",
+        f"    {tup(tup(row) for row in H)} = H",
+        f"    def advance(count, observe, {', '.join(z)}):",
         *(f"        {line}" for line in body),
         "    return advance"])
     namespace = {}
@@ -186,31 +192,35 @@ def _step_factory(n: int, m: int, gamma: int, p: int):
     return namespace["factory"]
 
 
-def _rk4_stepper(plant: NonlinearPlant, K_rows, S_rows, h: float):
-    """``advance(count, *z)``: ``count`` RK4 steps of the closed loop, compiled for its shape."""
+def _rk4_stepper(plant: NonlinearPlant, K_rows, S_rows, H_rows, h: float):
+    """``advance(count, observe, *z)`` of the closed loop, compiled for its shape."""
     factory = _step_factory(plant.state_dim, len(S_rows), sum(plant.degrees), len(K_rows))
-    return factory(K_rows, S_rows, h, 0.5 * h, h / 6.0,
-                   plant.normal_map, plant.linearizing_feedback, plant.dynamics)
+    return factory(K_rows, S_rows, H_rows, h, 0.5 * h, h / 6.0, plant.normal_map,
+                   plant.linearizing_feedback, plant.dynamics, plant.output)
 
 
 def _raise_first_fault(advance, z, k: int, count: int, h: float):
-    """Replay steps ``k + 1 .. k + count`` from ``z`` one at a time and raise their fault.
+    """Replay the block of kept state ``k`` from its state ``z`` and raise its fault.
 
-    A block that raised or ended non-finite fails the same way step by step,
-    so this raises what a per-step loop raises: ``NonFiniteState(t)`` at the
-    first step whose state is not finite or whose plant maps overflow, or the
-    plant's own error unchanged.
+    A block that raised or ended non-finite fails the same way replayed: its
+    steps one at a time, then its sample.  So this raises what a per-step
+    loop raises: ``NonFiniteState(t)`` at the first step whose state is not
+    finite, or whose plant maps overflow (the sample's at ``t = k h``), or
+    the plant's own error unchanged.
     """
-    for k in range(k, k + count):
-        t = (k + 1) * h
-        try:
-            z = advance(1, *z)[0]
-        except OverflowError as exc:
-            # float exponentiation overflow inside a plant map: same diagnosis
-            # as a NaN/Inf state, the loop has escaped to infinity
-            raise NonFiniteState(t) from exc
-        if not all(map(isfinite, z)):
-            raise NonFiniteState(t)
+    start = z
+    try:
+        for i in range(k + 1, k + count + 1):
+            t = i * h
+            z = advance(1, False, *z)[0]
+            if not all(map(isfinite, z)):
+                raise NonFiniteState(t)
+        t = k * h
+        advance(0, True, *start)
+    except OverflowError as exc:
+        # float exponentiation overflow inside a plant map: same diagnosis
+        # as a NaN/Inf state, the loop has escaped to infinity
+        raise NonFiniteState(t) from exc
     raise RuntimeError("a block of steps failed, but not one step at a time: "
                        "the plant maps are not deterministic")
 
@@ -232,51 +242,35 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
     if exo.num_outputs != p:
         raise DimensionMismatch("exosystem output count does not match the plant")
     x0 = as_vector(x0, length=n)
-    K_rows = _gain_rows(gains, p, gamma, m)
-    H_rows = _rows(exo.H)
-    output, normal_map, feedback = plant.output, plant.normal_map, plant.linearizing_feedback
     h, stride = cfg.step, cfg.record_stride
     steps = int(round(cfg.horizon / h))
-    advance = _rk4_stepper(plant, K_rows, _rows(exo.S), h)
+    advance = _rk4_stepper(plant, _gain_rows(gains, p, gamma, m), _rows(exo.S),
+                           _rows(exo.H), h)
     # tolist() gives Python floats; np.float64 elements would run the loop
     # on numpy scalars, with the same bytes but markedly slower
     z = tuple(x0.tolist() + exo.w0.tolist())
-    states, pairs = [], []
-    for k in range(0, steps, stride):
-        # one block per kept state.  A non-finite component stays non-finite
-        # through z + h6 * (...), so a finite block end means finite steps; any
-        # error may follow an earlier non-finite step, so a block that raises
-        # is replayed too
+    times, states, samples = [], [], []
+    for k in range(0, steps + 1, stride):
+        # one block per kept state, stepping to the next; the last takes the
+        # steps left, if any.  A non-finite component stays non-finite through
+        # z + h6 * (...), so a finite block end means finite steps; any error
+        # may follow an earlier non-finite step, so a block that raises is
+        # replayed too
         count = min(stride, steps - k)
         try:
-            end, v, u = advance(count, *z)
+            end, sample = advance(count, True, *z)
             finite = all(map(isfinite, end))
         except Exception:
             finite = False
         if not finite:
             _raise_first_fault(advance, z, k, count, h)
+        times.append(k * h)
         states.append(z)
-        pairs.append((v, u))
+        samples.append(sample)
         z = end
-    if steps % stride == 0:
-        states.append(z)
-    times = [k * h for k in range(0, steps + 1, stride)]
-    rows = []
-    try:
-        # pairs lacks only the last kept state's entry, when no block starts there
-        for t, z, vu in zip_longest(times, states, pairs):
-            x, w = z[:n], z[n:]
-            if vu is None:
-                v = _matvec(K_rows, tuple(normal_map(x)) + w)
-                vu = v, feedback(x, v)
-            v, u = vu
-            y, r = tuple(output(x)), _matvec(H_rows, w)
-            rows.append(y + r + tuple(ri - yi for ri, yi in zip(r, y)) + tuple(u) + v)
-    except OverflowError as exc:
-        raise NonFiniteState(t) from exc
-    # each row holds y, r, e, u, v: with t, x, w that is the Trajectory field order
+    # each sample holds y, r, e, u, v: with t, x, w that is the Trajectory field order
     traj = Trajectory(np.array(times), *np.hsplit(np.array(states), [n]),
-                      *np.hsplit(np.array(rows), 5))
+                      *np.hsplit(np.array(samples), 5))
     return traj, detect_overshoot(traj.times, traj.e, cfg.zero_band)
 
 

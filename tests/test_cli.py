@@ -7,7 +7,7 @@ import pytest
 from nosreg import errors
 from nosreg.acceptance import reference_config_dict
 from nosreg.cli import (EXIT_CODES, EXIT_SEARCH, EXIT_SIMULATION, EXIT_SYNTHESIS,
-                        EXIT_VALIDATION, load_config, load_gains, main)
+                        EXIT_VALIDATION, gnuplot_script, load_config, load_gains, main)
 
 SLOW_POLES = [-4.847, -4.017, -2.432, -0.1032]
 
@@ -188,6 +188,13 @@ def test_simulate_benchmark_no_overshoot(tmp_path, config_path, capsys):
     assert header == "t,x1,x2,x3,x4,w1,w2,y1,r1,e1,u1,v1"
 
 
+def test_plot_script_quotes_paths():
+    # gnuplot reads '' as a literal quote inside a single-quoted string
+    script = gnuplot_script("it's/traj.csv", "it's/traj.gp", ["t", "e1", "u1"]).splitlines()
+    assert "csv = 'it''s/traj.csv'" in script
+    assert "set output 'it''s/traj.png'" in script
+
+
 def test_simulate_is_deterministic(tmp_path, config_path):
     gains = tmp_path / "gains.json"
     main(["design", "--config", config_path, "--out", str(gains)])
@@ -314,6 +321,16 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
     # _floats recurses once per array level, so depth is capped before Python's limit
     ("exosystem", {"S": [[0.0, 1.0], [-1.0, 0.0]], "H": [[1.0, 0.0]],
                    "w0": _nested([1.0, 0.0], 900)}, "malformed field 'exosystem.w0'"),
+    # a vector field takes a flat array, never one that flattens to the right length
+    ("initial", {"plant": "benchmark", "x0": [[0.0], [2.0], [-5.0], [-4.0]]},
+     "malformed field 'initial.x0'"),
+    ("exosystem", {"S": [[0.0, 1.0], [-1.0, 0.0]], "H": [[1.0, 0.0]],
+                   "w0": [[[1.0]], [[0.0]]]}, "malformed field 'exosystem.w0'"),
+    # finite x0, but its chain coordinates are not
+    ("initial", {"plant": "benchmark", "x0": [1e200, 2.0, -5.0, -4.0]},
+     "malformed field 'initial.x0'"),
+    # 1.0 / 0.6 steps: the run would end at t = 1.2
+    ("sim", {"step": 0.6, "horizon": 1.0}, "malformed field 'sim': horizon must be a whole"),
 ], ids=["degrees-scalar", "degrees-fractional", "exosystem-scalar",
         "initial-scalar", "pole-string", "sim-scalar", "sim-step-string",
         "max-trials-fractional", "seed-fractional", "record-stride-fractional",
@@ -325,7 +342,8 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
         "pole-numeric-string", "interval-numeric-string", "w0-numeric-string",
         "x0-numeric-string", "sim-zero-band-nan", "sim-zero-band-negative",
         "sim-horizon-infinity", "sim-step-count-overflow", "sim-step-count-huge",
-        "initial-empty", "w0-nested-deep"])
+        "initial-empty", "w0-nested-deep", "x0-column", "w0-nested",
+        "x0-chain-coordinates-overflow", "sim-horizon-not-whole-steps"])
 def test_malformed_config_field_exits_validation(tmp_path, capsys, field, value, named):
     cfg_dict = reference_config_dict(poles=SLOW_POLES)
     cfg_dict[field] = value

@@ -381,6 +381,22 @@ class TestCompiledStep:
             assert not compiled_negative_v
             assert not np.signbit(np.frombuffer(outcome[7])).any()      # the v field
 
+    def test_output_fault_is_reported_when_reached(self):
+        # x' = 1: output overflows from the kept state t = 0.56 on, the state
+        # reaches inf only past t = 1.5; the first fault in time is reported
+        def output(x):
+            return (x[0] * 10.0 ** (400.0 if x[0] > 0.5 else 0.0),)
+
+        plant = NonlinearPlant(state_dim=1, degrees=(1,),
+                               dynamics=lambda x, u: (math.inf if x[0] > 1.5 else 1.0,),
+                               output=output, normal_map=lambda x: x,
+                               linearizing_feedback=lambda x, v: v)
+        with pytest.raises(NonFiniteState) as exc:
+            simulate_nonlinear(plant, Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0]), None,
+                               (0.0,), SimConfig(step=0.01, horizon=2.0, record_stride=7))
+        assert exc.value.t == 56 * 0.01
+        assert isinstance(exc.value.__cause__, OverflowError)
+
     def test_nondeterministic_plant_is_reported(self):
         # a block that fails and then replays cleanly has no step to blame
         calls = Counter()
@@ -432,7 +448,8 @@ class TestCompiledStep:
             gains = rng.uniform(-5.0, 5.0, size=(2, 7))
             exo = Exosystem(S=rng.uniform(-2.0, 2.0, size=(2, 2)), H=np.eye(2), w0=[1.0, 0.0])
             h = float(rng.uniform(1e-4, 1e-2))
-            steppers.append(sim._rk4_stepper(plant, sim._rows(gains), sim._rows(exo.S), h))
+            steppers.append(sim._rk4_stepper(plant, sim._rows(gains), sim._rows(exo.S),
+                                             sim._rows(exo.H), h))
             values |= set(gains.ravel().tolist()) | set(exo.S.ravel().tolist())
             values |= {h, 0.5 * h, h / 6.0}
         a, b = steppers
@@ -450,7 +467,7 @@ class TestCompiledStep:
         # every value the loop uses is an argument, a local or a closure
         # cell; a global or builtin lookup per step would cost a dict probe
         advance = sim._rk4_stepper(benchmark_plant(), sim._gain_rows(None, 1, 4, 2),
-                                   sim._rows(ROTATION.S), 1e-3)
+                                   sim._rows(ROTATION.S), sim._rows(ROTATION.H), 1e-3)
         assert advance.__code__.co_names == ("range",)
 
 
