@@ -65,6 +65,13 @@ class NonlinearPlant:
     - ``linearizing_feedback(x, v)``: physical input realizing the chain input
       ``v``, one input per relative degree
 
+    The simulator compiles a map into its loop when the map is a plain
+    ``def`` whose body is straight-line arithmetic over its arguments:
+    assignments ending in ``return (...)``, reading no global or free name,
+    with each argument unpacked whole or subscripted by a constant index
+    (the built-in plant's maps are).  Every other map is called, with the
+    same results.
+
     Internal (zero-dynamics) coordinates are never required: the simulator
     integrates the full plant state directly.  Stability of the zero dynamics
     is asserted by the caller, not checked here.

@@ -12,14 +12,20 @@ by an order of magnitude), one compiled call per kept state.
 The :class:`Trajectory` field order is the CSV column order.
 
 Each call runs a straight-line RK4 loop generated for the sizes
-``(n, m, gamma, p)`` and cached per size: the state travels as scalar
-arguments and locals, and the gains, ``S``, ``H``, the step and the plant
-maps are closure cells, never source text.  It does ``tests/reference.py``'s
-``rk4_step`` arithmetic in its order, so its trajectories are byte-identical
-to a per-step loop's.  It also returns its kept start state's sample, with
-the ``v`` and ``u`` of its first derivative, so a run is one pass and the
-last kept state takes no step.  A block is checked for finiteness at its end,
-and a block that fails is replayed to report the first fault.
+``(n, m, gamma, p)`` and the code of the plant maps it splices in, and
+cached per both: the state travels as scalar arguments and locals, and the
+gains, ``S``, ``H`` and the step are closure cells, never source text.  A
+plant map whose body is straight-line arithmetic over its arguments (the
+built-in plant's four) has that body spliced into the loop by
+:mod:`nosreg._inline`; any other map is a closure cell the loop calls, with
+the same results.  The loop does
+``tests/reference.py``'s ``rk4_step`` arithmetic in its order, so its
+trajectories are byte-identical to a per-step loop's.  It also returns its
+kept start state's sample, with the ``v`` and ``u`` of its first
+derivative, so a run is one pass.  The states kept are every
+``record_stride``-th and the horizon's, which takes no step.  A block is
+checked for finiteness at its end, and a block that fails is replayed to
+report the first fault.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ DEFAULT_ZERO_BAND = 1e-9
 # the most steps a run may take: over a minute for the degree-4 plant at about
 # 7 us a step, and as many kept states at record_stride 1.  No run needs more
 MAX_STEPS = 10 ** 7
+
+# rows write_csv formats per write: the file is never one string in memory
+_CSV_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -121,21 +130,38 @@ def _gain_rows(gains: RegulatorGains | None, p: int, gamma: int, m: int):
     return _rows(np.hstack([gains.F, gains.G]))
 
 
-@cache
-def _step_factory(n: int, m: int, gamma: int, p: int):
-    """Compile the straight-line closed-loop RK4 loop for one shape.
+# the plant maps in the order the generated loop takes them, by their names there
+_MAPS = ("normal_map", "feedback", "dynamics", "output")
 
-    The source is built from the sizes alone and names every value it uses.
-    The returned ``factory(K, S, H, h, h2, h6, normal_map, feedback, dynamics,
-    output)`` takes the rows of ``[F G]``, ``S`` and ``H``, the step, its half
-    and its sixth and the plant maps, and returns ``advance(count, observe,
-    z0, ..., z{n+m-1})`` with those as closure cells.  ``advance`` takes
-    ``count >= 0`` steps and returns the new state with, if ``observe``, the
-    start state's sample ``y + r + e + u + v`` (else ``None``), whose ``v``
-    and ``u`` are the first derivative's.  Each step is ``tests/reference.py``'s
-    ``rk4_step`` arithmetic over the derivative
-    ``(dynamics(x, feedback(x, v)), S w)`` with ``v = [F G] (T(x), w)``.
+
+def _map_shapes(n: int, gamma: int, p: int):
+    """Each map's argument lengths and result length, in ``_MAPS`` order."""
+    return (((n,), gamma), ((n, p), p), ((n, p), n), ((n,), p))
+
+
+@cache
+def _step_factory(n: int, m: int, gamma: int, p: int, codes=(None,) * 4):
+    """Compile the straight-line closed-loop RK4 loop for one shape and its spliced maps.
+
+    The source is built from the sizes and the spliced maps' code, and
+    names every value it uses.  ``codes`` holds, in ``_MAPS`` order, the
+    code of each plant map whose body is spliced into the loop (one that
+    ``_inline.straight_line`` accepts at these sizes), else None: that map is
+    called.  The returned ``factory(K, S, H, h, h2, h6, normal_map, feedback,
+    dynamics, output)`` takes the rows of ``[F G]``, ``S`` and ``H``, the
+    step, its half and its sixth and the plant maps, and returns
+    ``advance(count, observe, z0, ..., z{n+m-1})`` with those it uses as
+    closure cells.  ``advance`` takes ``count >= 0`` steps and returns the
+    new state with, if ``observe``, the start state's sample
+    ``y + r + e + u + v`` (else ``None``), whose ``v`` and ``u`` are the first
+    derivative's.  Each step is ``tests/reference.py``'s ``rk4_step``
+    arithmetic over the derivative ``(dynamics(x, feedback(x, v)), S w)``
+    with ``v = [F G] (T(x), w)``.
     """
+    from ._inline import splice, straight_line
+
+    spliced = {name: straight_line(code, *shape)
+               for name, code, shape in zip(_MAPS, codes, _map_shapes(n, gamma, p)) if code}
     K = [[f"K{i}_{j}" for j in range(gamma + m)] for i in range(p)]
     S = [[f"S{i}_{j}" for j in range(m)] for i in range(m)]
     H = [[f"H{i}_{j}" for j in range(m)] for i in range(p)]
@@ -146,19 +172,35 @@ def _step_factory(n: int, m: int, gamma: int, p: int):
     def tup(items):
         return "(" + "".join(f"{s}, " for s in items) + ")"
 
+    # v, u and the outputs as (tuple, scalars): items where their map is spliced
+    vs, us, outs = ([f"{c}{i}" for i in range(p)] for c in "vuo")
+    V = (tup(vs), vs) if "feedback" in spliced else ("v", None)
+    U = (tup(us), us) if "feedback" in spliced else ("u", None)
+    O = (tup(outs), outs) if "output" in spliced else ("out", None)
+
     def fold(row, vec):
         # a left fold from 0.0: sum() folds floats this way only up to
         # Python 3.11, and the leading 0.0 makes an all -0.0 product +0.0
         return " + ".join(["0.0"] + [f"{a} * {b}" for a, b in zip(row, vec)])
 
+    def bind(name, args, results):
+        # results are the names of the items, or the one name of a call's tuple
+        if name in spliced:
+            return splice(spliced[name], args, results, f"{name}_")
+        target = results if isinstance(results, str) else tup(results)
+        return [f"{target} = {name}({', '.join(a for a, _ in args)})"]
+
     def head(at):
-        return [f"x = {tup(at[:n])}", f"{tup(xi)} = normal_map(x)",
-                f"v = {tup(fold(row, xi + at[n:]) for row in K)}", "u = feedback(x, v)"]
+        x, v = ("x", at[:n]), [fold(row, xi + at[n:]) for row in K]
+        return [*([f"x = {tup(at[:n])}"] if len(spliced) < len(_MAPS) else []),
+                *bind("normal_map", [x], xi),
+                *([f"{a} = {b}" for a, b in zip(vs, v)] if V[1] else [f"v = {tup(v)}"]),
+                *bind("feedback", [x, V], U[1] or U[0])]
 
     def deriv(k, at, first=False):
         # the first derivative of a block reads the start state's head
         return [*([] if first else head(at)),
-                f"{tup(f'k{k}_{j}' for j in range(n))} = dynamics(x, u)",
+                *bind("dynamics", [("x", at[:n]), U], [f"k{k}_{j}" for j in range(n)]),
                 *(f"k{k}_{n + i} = {fold(row, at[n:])}" for i, row in enumerate(S))]
 
     def point(k, scale):
@@ -170,12 +212,16 @@ def _step_factory(n: int, m: int, gamma: int, p: int):
                 *(f"{zj} = {zj} + h6 * (k1_{j} + 2.0 * (k2_{j} + k3_{j}) + k4_{j})"
                   for j, zj in enumerate(z))]
 
+    def items(vec):
+        return vec[1] or [f"*{vec[0]}"]
+
     # the start state's head serves both its sample and its first step,
     # which is written out so that only it skips the head
-    body = [*head(z), "sample = None", "if observe:", "    out = output(x)",
+    errors = (f"ref[{i}] - {O[1][i] if O[1] else f'out[{i}]'}" for i in range(p))
+    body = [*head(z), "sample = None", "if observe:",
+            *(f"    {line}" for line in bind("output", [("x", z[:n])], O[1] or O[0])),
             f"    ref = {tup(fold(row, z[n:]) for row in H)}",
-            f"    sample = (*out, *ref, {''.join(f'ref[{i}] - out[{i}], ' for i in range(p))}"
-            "*u, *v)",
+            f"    sample = {tup([*items(O), '*ref', *errors, *items(U), *items(V)])}",
             "if count:", *(f"    {line}" for line in step(first=True)),
             "    for _ in range(count - 1):", *(f"        {line}" for line in step()),
             f"return {tup(z)}, sample"]
@@ -193,10 +239,15 @@ def _step_factory(n: int, m: int, gamma: int, p: int):
 
 
 def _rk4_stepper(plant: NonlinearPlant, K_rows, S_rows, H_rows, h: float):
-    """``advance(count, observe, *z)`` of the closed loop, compiled for its shape."""
-    factory = _step_factory(plant.state_dim, len(S_rows), sum(plant.degrees), len(K_rows))
-    return factory(K_rows, S_rows, H_rows, h, 0.5 * h, h / 6.0, plant.normal_map,
-                   plant.linearizing_feedback, plant.dynamics, plant.output)
+    """``advance(count, observe, *z)`` of the closed loop, compiled for its shape and maps."""
+    from ._inline import splices
+
+    n, gamma, p = plant.state_dim, sum(plant.degrees), len(K_rows)
+    maps = (plant.normal_map, plant.linearizing_feedback, plant.dynamics, plant.output)
+    codes = tuple(fn.__code__ if splices(fn, shape) else None
+                  for fn, shape in zip(maps, _map_shapes(n, gamma, p)))
+    factory = _step_factory(n, len(S_rows), gamma, p, codes)
+    return factory(K_rows, S_rows, H_rows, h, 0.5 * h, h / 6.0, *maps)
 
 
 def _raise_first_fault(advance, z, k: int, count: int, h: float):
@@ -250,12 +301,12 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
     # on numpy scalars, with the same bytes but markedly slower
     z = tuple(x0.tolist() + exo.w0.tolist())
     times, states, samples = [], [], []
-    for k in range(0, steps + 1, stride):
-        # one block per kept state, stepping to the next; the last takes the
-        # steps left, if any.  A non-finite component stays non-finite through
-        # z + h6 * (...), so a finite block end means finite steps; any error
-        # may follow an earlier non-finite step, so a block that raises is
-        # replayed too
+    for k in (*range(0, steps, stride), steps):
+        # one block per kept state, stepping to the next; the horizon's state
+        # is kept last, with no steps, whatever the stride.  A non-finite
+        # component stays non-finite through z + h6 * (...), so a finite
+        # block end means finite steps; any error may follow an earlier
+        # non-finite step, so a block that raises is replayed too
         count = min(stride, steps - k)
         try:
             end, sample = advance(count, True, *z)
@@ -311,7 +362,12 @@ def write_csv(traj: Trajectory, path) -> list[str]:
         header += ([f"{f.name}{i + 1}" for i in range(block.shape[1])]
                    if block.ndim == 2 else ["t"])
         blocks.append(block)
+    data = np.column_stack(blocks)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(blocks), fmt="%.17g", delimiter=",",
-                   header=",".join(header), comments="")
+        fh.write(",".join(header) + "\n")
+        # Python floats through one row format, a block of rows per write
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            rows = data[start:start + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([row % tuple(r) for r in rows]))
     return header

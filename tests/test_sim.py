@@ -130,7 +130,7 @@ class TestSimulateLinear:
         gains = synthesize(assemble_mimo((2, 3)), ROTATION2, MIMO_XI0, MIMO_POLES)
         traj, _ = simulate_nonlinear(chain_plant((2, 3)), ROTATION2, gains, MIMO_XI0,
                                      SimConfig(horizon=2.0, record_stride=7))
-        assert traj.times.size == 2000 // 7 + 1
+        assert traj.times.size == 2000 // 7 + 2
         np.testing.assert_allclose(traj.v, traj.x @ gains.F.T + traj.w @ gains.G.T,
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(traj.r, traj.w @ ROTATION2.H.T)
@@ -139,6 +139,17 @@ class TestSimulateLinear:
 
 
 class TestSimulateNonlinear:
+    def test_horizon_off_the_stride_is_the_last_sample(self):
+        # 100 steps at stride 7: every 7th state is kept, then the horizon's
+        run = functools.partial(simulate_nonlinear, benchmark_plant(), ROTATION,
+                                _benchmark_gains(), REFERENCE_X0)
+        traj, report = run(SimConfig(step=0.01, horizon=1.0, record_stride=7))
+        every, every_report = run(SimConfig(step=0.01, horizon=1.0, record_stride=1))
+        assert traj.times.size == 100 // 7 + 2
+        assert traj.times[-1] == 1.0
+        np.testing.assert_array_equal(traj.x[-1], every.x[-1])
+        assert report.final_abs_error == every_report.final_abs_error == (abs(traj.e[-1, 0]),)
+
     def test_loop_runs_on_python_floats(self):
         # numpy scalars in the state give the same numbers, but every step
         # then runs numpy scalar arithmetic, far slower than float arithmetic
@@ -237,7 +248,8 @@ class TestSimulateNonlinear:
 
 def _reference_run(plant, exo, gains, x0, cfg):
     """The per-step loop the compiled blocks replaced: ``rk4_step`` on every
-    step with a finiteness check, then a record pass over the kept states."""
+    step with a finiteness check, then a record pass over the kept states:
+    every ``record_stride``-th and the horizon's."""
     n, h = plant.state_dim, cfg.step
     K = (np.zeros((plant.input_dim, sum(plant.degrees) + exo.dim)) if gains is None
          else np.hstack([gains.F, gains.G])).tolist()
@@ -254,13 +266,14 @@ def _reference_run(plant, exo, gains, x0, cfg):
 
     z = tuple(np.asarray(x0, dtype=float).tolist() + exo.w0.tolist())
     times, states, rows = [0.0], [z], []
+    steps = int(round(cfg.horizon / h))
     try:
-        for k in range(int(round(cfg.horizon / h))):
+        for k in range(steps):
             t = (k + 1) * h
             z = rk4_step(deriv, t, z, h)
             if not all(map(math.isfinite, z)):
                 raise NonFiniteState(t)
-            if (k + 1) % cfg.record_stride == 0:
+            if (k + 1) % cfg.record_stride == 0 or k + 1 == steps:
                 times.append(t)
                 states.append(z)
         for t, z in zip(times, states):
@@ -314,7 +327,7 @@ def _stride_1_run():
 
 
 def _short_run():
-    # 5 steps, fewer than one stride: one short block and a single kept sample
+    # 5 steps, fewer than one stride: one short block, kept at 0 and the horizon
     return (benchmark_plant(), ROTATION, _benchmark_gains(), REFERENCE_X0,
             SimConfig(horizon=0.005, record_stride=10))
 
@@ -471,6 +484,131 @@ class TestCompiledStep:
         assert advance.__code__.co_names == ("range",)
 
 
+# straight-line module-level maps of x' = x^2 + u, which escapes from x = 1:
+# the loop splices their bodies in, unless they are wrapped to be called
+def _square_dynamics(x, u):
+    x1, = x
+    return (x1 * x1 + u[0],)
+
+
+def _power_dynamics(x, u):
+    # 10.0 ** (x1 - 400.0) is 0.0 near x1 = 1 and overflows past x1 = 708
+    x1, = x
+    return (x1 * x1 + 10.0 ** (x1 - 400.0) + u[0],)
+
+
+def _first(x):
+    return (x[0],)
+
+
+def _pass_v(x, v):
+    """u = v."""
+    (v1,) = v
+    return (v1,)
+
+
+def _sin_output(x):
+    return (math.sin(x[0]),)
+
+
+def _late_output(x):
+    y1 = y0 + 0.0      # y0 is bound only on the next line, so a call raises
+    y0 = x[0]
+    return (y1,)
+
+
+PLANT_MAPS = ("normal_map", "linearizing_feedback", "dynamics", "output")
+
+
+def _straight_escape_run(dynamics):
+    plant = NonlinearPlant(state_dim=1, degrees=(1,), dynamics=dynamics, output=_first,
+                           normal_map=_first, linearizing_feedback=_pass_v)
+    return (plant, Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0]), None, (1.0,),
+            SimConfig(step=0.01, horizon=2.0, record_stride=7))
+
+
+def _called(fn):
+    # a closure reads a free name, so the loop calls it instead of splicing it
+    def call(*args):
+        return fn(*args)
+    return call
+
+
+def _forced_call(plant):
+    return dataclasses.replace(plant, **{name: _called(getattr(plant, name))
+                                         for name in PLANT_MAPS})
+
+
+def _called_maps(plant, exo):
+    """The plant maps the compiled loop holds as closure cells, to call them."""
+    advance = sim._rk4_stepper(plant, sim._gain_rows(None, plant.input_dim,
+                                                     sum(plant.degrees), exo.dim),
+                               sim._rows(exo.S), sim._rows(exo.H), 1e-3)
+    cells = [cell.cell_contents for cell in advance.__closure__]
+    return {name for name in PLANT_MAPS if any(c is getattr(plant, name) for c in cells)}
+
+
+class TestSplicedMaps:
+    """Straight-line plant maps compiled into the loop against the same maps called."""
+
+    def test_builtin_plant_maps_are_compiled_in(self):
+        plant = benchmark_plant()
+        assert _called_maps(plant, ROTATION) == set()
+        assert _called_maps(_forced_call(plant), ROTATION) == set(PLANT_MAPS)
+        advance = sim._rk4_stepper(plant, sim._gain_rows(None, 1, 4, 2),
+                                   sim._rows(ROTATION.S), sim._rows(ROTATION.H), 1e-3)
+        assert advance.__code__.co_names == ("range",)
+
+    def test_spliced_and_called_runs_are_byte_identical(self):
+        plant, exo, gains, x0, cfg = _searched_benchmark_run()
+        assert _called_maps(plant, exo) == set()
+        spliced = _outcome(simulate_nonlinear, plant, exo, gains, x0, cfg)
+        assert isinstance(spliced[0], bytes)          # the run completed
+        assert spliced == _outcome(simulate_nonlinear, _forced_call(plant), exo, gains, x0, cfg)
+
+    @pytest.mark.parametrize("dynamics, cause", [(_square_dynamics, "NoneType"),
+                                                 (_power_dynamics, "OverflowError")],
+                             ids=["blow-up-mid-block", "overflow-mid-block"])
+    def test_faults_match_the_called_maps(self, dynamics, cause):
+        plant, exo, gains, x0, cfg = _straight_escape_run(dynamics)
+        assert _called_maps(plant, exo) == set()
+        outcome = _outcome(simulate_nonlinear, plant, exo, gains, x0, cfg)
+        assert outcome == _outcome(simulate_nonlinear, _forced_call(plant), exo, gains, x0, cfg)
+        assert outcome[0] == "NonFiniteState" and outcome[3] == cause
+        assert round(outcome[2] / cfg.step) % cfg.record_stride not in (0, 1)
+
+    def test_map_reading_a_global_is_called(self):
+        plant, exo, *_ = _straight_escape_run(_square_dynamics)
+        plant = dataclasses.replace(plant, output=_sin_output)
+        assert _called_maps(plant, exo) == {"output"}
+
+    def test_map_reading_a_local_before_binding_it_is_called(self):
+        plant, exo, gains, x0, cfg = _straight_escape_run(_square_dynamics)
+        plant = dataclasses.replace(plant, output=_late_output)
+        assert _called_maps(plant, exo) == {"output"}
+        outcome = _outcome(simulate_nonlinear, plant, exo, gains, x0, cfg)
+        assert outcome[0] == "UnboundLocalError" and "'y0'" in outcome[1]
+
+    def test_map_whose_source_file_changed_is_called(self, tmp_path):
+        # a straight-line map exec'd from a file is spliced in while the file
+        # holds its source; once the file holds other code, or code that no
+        # longer parses, it is called
+        maps = []
+        for name, later in (("kept", "x[0],)"), ("rewritten", "-x[0],)"), ("broken", "x[0],")):
+            source = f"def {name}(x):\n    return (x[0],)\n"
+            path = tmp_path / f"{name}.py"
+            path.write_text(source)
+            namespace = {}
+            exec(compile(source, str(path), "exec"), namespace)
+            path.write_text(source.replace("x[0],)", later))
+            maps.append(namespace[name])
+        plant, exo, *_ = _straight_escape_run(_square_dynamics)
+        kept, *changed = (dataclasses.replace(plant, output=fn) for fn in maps)
+        assert _called_maps(kept, exo) == set()
+        for plant in changed:
+            assert _called_maps(plant, exo) == {"output"}
+
+
 class TestBenchmarkPlant:
     def test_origin_is_equilibrium(self):
         plant = benchmark_plant()
@@ -591,3 +729,16 @@ class TestCsvExport:
         np.testing.assert_array_equal(data[:, 0], traj.times)
         np.testing.assert_array_equal(data[:, 1:5], traj.x)
         np.testing.assert_array_equal(data[:, 9], traj.e[:, 0])
+
+    def test_bytes_match_numpy_savetxt(self, tmp_path):
+        # more rows than one write block, with -0.0, subnormal and huge values
+        rng = np.random.default_rng(5)
+        rows = 2 * sim._CSV_BLOCK_ROWS + 3
+        data = rng.standard_normal((rows, 8)) * 10.0 ** rng.integers(-310, 300, size=(rows, 8))
+        data[1, 2], data[4, 5] = -0.0, 5e-324
+        traj = Trajectory(data[:, 0], *np.hsplit(data[:, 1:], [2, 3, 4, 5, 6, 7]))
+        header = write_csv(traj, tmp_path / "traj.csv")
+        expected = tmp_path / "savetxt.csv"
+        np.savetxt(expected, data, fmt="%.17g", delimiter=",", header=",".join(header),
+                   comments="")
+        assert (tmp_path / "traj.csv").read_bytes() == expected.read_bytes()
