@@ -19,7 +19,7 @@ from .modal import (ModalDecomposition, PoleSet, modal_coeffs, moore_feedback,
                     natural_response)
 from .plants import BUILTIN_PLANTS, REFERENCE_X0, benchmark_plant
 from .polesearch import SearchSpec, search
-from .regulation import (RegulatorGains, SubsystemGains, nominal_ic,
+from .regulation import (RegulatorGains, SubsystemGains, design, nominal_ic,
                          solve_sylvester, synthesize)
 from .sim import (OvershootReport, SimConfig, Trajectory, detect_overshoot,
                   simulate_nonlinear, write_csv)
@@ -34,7 +34,7 @@ __all__ = [
     "REFERENCE_X0", "RegulatorGains", "SearchExhausted", "SearchSpec",
     "SimConfig", "SingularMatrix", "SubsystemGains", "Trajectory",
     "assemble_mimo", "benchmark_plant", "certify", "certify_n2",
-    "certify_n3_closedform", "chain_plant", "detect_overshoot",
+    "certify_n3_closedform", "chain_plant", "design", "detect_overshoot",
     "make_chain", "modal_coeffs", "moore_feedback", "natural_response",
     "nominal_ic", "search", "simulate_nonlinear", "solve_sylvester",
     "split_state", "synthesize", "write_csv",

@@ -29,12 +29,16 @@ from .modal import ModalDecomposition, PoleSet
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Outcome of the sign-invariance test for one modal decomposition."""
+    """Outcome of the sign-invariance test for one modal decomposition, which it keeps."""
 
-    alpha: np.ndarray
+    decomp: ModalDecomposition
     c: tuple[int, ...]
     p_value: float
     passed: bool
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.decomp.alpha
 
 
 def _score(alpha: np.ndarray) -> tuple[np.ndarray, float]:
@@ -67,7 +71,7 @@ def certify(decomp: ModalDecomposition) -> Certificate:
     alpha = decomp.alpha
     c, p = _score(alpha)
     zero = not np.any(alpha)
-    return Certificate(alpha=alpha, c=tuple(int(k) for k in c), p_value=p,
+    return Certificate(decomp=decomp, c=tuple(int(k) for k in c), p_value=p,
                        passed=bool(p > 0.0 or zero))
 
 

@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chains import (Exosystem, NonlinearPlant, assemble_mimo, chain_plant,
-                     make_chain, split_state)
+from .chains import Exosystem, NonlinearPlant, assemble_mimo, chain_plant
 from .errors import (CertificateFailed, ConfigError, DimensionMismatch,
                      InvalidOrder, InvalidPoleSet, NonFiniteState, NosregError,
                      SearchExhausted, SingularMatrix)
@@ -30,7 +29,8 @@ from .linalg import as_int, as_matrix, as_vector
 from .modal import PoleSet
 from .plants import BUILTIN_PLANTS
 from .polesearch import DEFAULT_MAX_TRIALS, SearchSpec, search
-from .regulation import nominal_ic, solve_sylvester, synthesize
+# no cli path calls solve_sylvester; bench/tracing.py SITES patch the name
+from .regulation import design, solve_sylvester, synthesize
 from .sim import SimConfig, simulate_nonlinear, write_csv
 
 EXIT_OK = 0
@@ -109,7 +109,7 @@ def _known(data, path: str, keys):
 def _search_field(data, key: str, default):
     """``search.<key>``, checked by ``SearchSpec``'s own rule on a one-pole box."""
     return _field(data, key, "search.",
-                  lambda value: getattr(SearchSpec(((0.0, 0.0),), **{key: value}), key),
+                  lambda value: getattr(SearchSpec(((-1.0, 0.0),), **{key: value}), key),
                   default)
 
 
@@ -257,9 +257,8 @@ def load_gains(path, cfg: ProblemConfig) -> LoadedGains:
     return LoadedGains(F=F, G=G, p_values=p_values)
 
 
-def _write_design(cfg: ProblemConfig, pole_sets, out_path, trials=None) -> int:
-    """Synthesize gains for ``pole_sets``, write the gains file and print a summary."""
-    gains = synthesize(cfg.degrees, cfg.exo, cfg.xi0, pole_sets)
+def _write_design(cfg: ProblemConfig, gains, out_path, trials=None) -> int:
+    """Write the gains file of a design and print a summary."""
     subs = []
     for j, sub in enumerate(gains.subsystems):
         entry = {
@@ -302,28 +301,28 @@ def cmd_design(config_path, out_path) -> int:
     cfg = load_config(config_path)
     if cfg.pole_sets is None:
         raise ConfigError("'design' needs explicit 'poles' in the config")
-    return _write_design(cfg, cfg.pole_sets, out_path)
+    return _write_design(cfg, synthesize(cfg.degrees, cfg.exo, cfg.xi0, cfg.pole_sets),
+                         out_path)
 
 
 def cmd_search(config_path, out_path) -> int:
-    """Search the configured pole intervals per subsystem, then design and write gains."""
+    """Design with poles searched in the configured intervals, then write gains."""
     cfg = load_config(config_path)
     if cfg.intervals is None:
         raise ConfigError("'search' needs 'intervals' in the config")
-    xi_blocks = split_state(cfg.xi0, cfg.degrees)
+    trials = []
 
-    found, trials = [], []
-    for j, g in enumerate(cfg.degrees):
-        Pi_j, _ = solve_sylvester(make_chain(g), cfg.exo, cfg.exo.H[j:j + 1])
-        xt0_j = nominal_ic(xi_blocks[j], Pi_j, cfg.exo.w0)
+    def searched(j, xt0):
         spec = SearchSpec(intervals=cfg.intervals[j], max_trials=cfg.max_trials,
                           seed=cfg.seed + j)
-        poles, cert, used = search(spec, xt0_j)
+        poles, cert, used = search(spec, xt0)
         print(f"subsystem {j}: passing poles after {used} trial(s), "
               f"p = {cert.p_value:.6g}")
-        found.append(poles)
         trials.append(used)
-    return _write_design(cfg, tuple(found), out_path, trials=trials)
+        return poles, cert
+
+    return _write_design(cfg, design(cfg.degrees, cfg.exo, cfg.xi0, searched), out_path,
+                         trials=trials)
 
 
 def gnuplot_script(csv_path, plot_path, columns) -> str:

@@ -25,7 +25,7 @@ DEFAULT_MAX_TRIALS = 10_000
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Search box: one closed interval on the negative axis per pole, plus budget and seed."""
+    """Search box: one interval per pole, with ``lo < 0`` and ``hi <= 0``, plus budget and seed."""
 
     intervals: tuple[tuple[float, float], ...]
     max_trials: int = DEFAULT_MAX_TRIALS
@@ -41,8 +41,10 @@ class SearchSpec:
         for i, (lo, hi) in enumerate(ivs):
             if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
                 raise DimensionMismatch(f"interval {i} is empty or non-finite: [{lo}, {hi}]")
-            if hi > 0.0:
-                raise DimensionMismatch(f"interval {i} must lie on the negative axis, hi = {hi}")
+            if hi > 0.0 or lo >= 0.0:
+                # a draw from [0, 0] is the pole 0, which PoleSet rejects on every trial
+                raise DimensionMismatch(f"interval {i} must lie on the negative axis "
+                                        f"with lo < 0, got [{lo}, {hi}]")
         if self.max_trials < 1:
             raise DimensionMismatch("max_trials must be positive")
         if self.seed < 0:

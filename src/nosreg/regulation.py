@@ -35,7 +35,7 @@ from .modal import ModalDecomposition, PoleSet, modal_coeffs, moore_feedback
 
 @dataclass(frozen=True, eq=False)
 class SubsystemGains:
-    """Design artifacts for one SISO chain: gains, Sylvester pair, poles, certificate."""
+    """Design artifacts for one SISO chain: gains, regulator pair, poles, certificate."""
 
     F: np.ndarray
     G: np.ndarray
@@ -43,7 +43,11 @@ class SubsystemGains:
     Gamma: np.ndarray
     poles: PoleSet
     cert: Certificate
-    decomp: ModalDecomposition
+
+    @property
+    def decomp(self) -> ModalDecomposition:
+        """The modal decomposition of the offset that the certificate scored."""
+        return self.cert.decomp
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,66 +85,54 @@ def nominal_ic(xi0_j, Pi_j, w0) -> np.ndarray:
     return xi0_j - Pi_j @ w0
 
 
-def design_subsystem(chain: ChainSystem, exo: Exosystem, H_row, xi0_j,
-                     poles: PoleSet) -> SubsystemGains:
-    """Run the full per-subsystem design: Sylvester, feedback, certificate, feedforward."""
-    if poles.n != chain.order:
-        raise DimensionMismatch(
-            f"need {chain.order} poles for an order-{chain.order} chain, got {poles.n}")
-    Pi, Gamma = solve_sylvester(chain, exo, H_row)
-    xt0 = nominal_ic(xi0_j, Pi, exo.w0)
-    F = moore_feedback(poles)
-    decomp = modal_coeffs(poles, xt0)
-    cert = certify(decomp)
-    G = Gamma - F @ Pi
-    return SubsystemGains(F=F, G=G, Pi=Pi, Gamma=Gamma, poles=poles,
-                          cert=cert, decomp=decomp)
+def design(degrees, exo: Exosystem, xi0, choose) -> RegulatorGains:
+    """Design each subsystem once and assemble the stacked law v = F xi + G w.
 
-
-def synthesize(degrees, exo: Exosystem, xi0, pole_sets) -> RegulatorGains:
-    """Design nonovershooting regulation gains for every subsystem and assemble them.
-
-    Parameters
-    ----------
-    degrees : sequence of int
-        Relative degree of each output channel; subsystem j is the
-        integrator chain of order ``degrees[j]``.
-    exo : Exosystem
-        Reference generator; one H row per subsystem output.
-    xi0 : array_like, length sum(degrees)
-        Normal-form initial condition, decomposed per subsystem internally.
-    pole_sets : sequence of PoleSet
-        One pole set per subsystem, sized to its order.
-
-    Raises
-    ------
-    CertificateFailed
-        If any subsystem's certificate rejects its pole set; the exception
-        names the subsystem and carries its p-value.
+    Subsystem j, the order-``degrees[j]`` chain tracking ``exo.H[j] w``, has
+    the offset ``xt0 = xi0_j - Pi_j w0`` from its regulator pair, and
+    ``choose(j, xt0)`` returns a pole set with the certificate that scored it
+    on ``xt0``, as ``search(spec, xt0)[:2]`` does.  ``F_j`` places those poles
+    and ``G_j = Gamma_j - F_j Pi_j``.  A certificate that did not pass raises
+    CertificateFailed, and a SingularMatrix from ``choose`` is prefixed with
+    the subsystem.
     """
     degrees = assemble_mimo(degrees)
     p = len(degrees)
     if exo.num_outputs != p:
         raise DimensionMismatch(
             f"exosystem generates {exo.num_outputs} references for {p} outputs")
-    if len(pole_sets) != p:
-        raise DimensionMismatch(f"need {p} pole sets, got {len(pole_sets)}")
     xi_blocks = split_state(xi0, degrees)
 
     subs = []
-    for j, g in enumerate(degrees):
+    F = np.zeros((p, sum(degrees)))
+    for j, (g, block) in enumerate(zip(degrees, block_slices(degrees))):
         # make_chain only feeds solve_sylvester, whose signature bench/workloads.py calls
+        Pi, Gamma = solve_sylvester(make_chain(g), exo, exo.H[j:j + 1])
+        xt0 = nominal_ic(xi_blocks[j], Pi, exo.w0)
         try:
-            sub = design_subsystem(make_chain(g), exo, exo.H[j:j + 1], xi_blocks[j],
-                                   pole_sets[j])
+            poles, cert = choose(j, xt0)
         except SingularMatrix as exc:
             raise SingularMatrix(f"subsystem {j}: {exc}") from exc
-        if not sub.cert.passed:
-            raise CertificateFailed(j, sub.cert.p_value)
-        subs.append(sub)
+        if not cert.passed:
+            raise CertificateFailed(j, cert.p_value)
+        F_j = moore_feedback(poles)
+        F[j, block] = F_j[0]
+        subs.append(SubsystemGains(F=F_j, G=Gamma - F_j @ Pi, Pi=Pi, Gamma=Gamma,
+                                   poles=poles, cert=cert))
+    return RegulatorGains(subsystems=tuple(subs), F=F, G=np.vstack([sub.G for sub in subs]))
 
-    F = np.zeros((p, sum(degrees)))
-    for j, (block, sub) in enumerate(zip(block_slices(degrees), subs)):
-        F[j, block] = sub.F[0]
-    G = np.vstack([sub.G for sub in subs])
-    return RegulatorGains(subsystems=tuple(subs), F=F, G=G)
+
+def synthesize(degrees, exo: Exosystem, xi0, pole_sets) -> RegulatorGains:
+    """``design`` with given poles: subsystem j certifies ``pole_sets[j]``, sized to its order."""
+    degrees = assemble_mimo(degrees)
+    if len(pole_sets) != len(degrees):
+        raise DimensionMismatch(f"need {len(degrees)} pole sets, got {len(pole_sets)}")
+
+    def certified(j, xt0):
+        poles = pole_sets[j]
+        if poles.n != xt0.size:
+            raise DimensionMismatch(
+                f"need {xt0.size} poles for an order-{xt0.size} chain, got {poles.n}")
+        return poles, certify(modal_coeffs(poles, xt0))
+
+    return design(degrees, exo, xi0, certified)

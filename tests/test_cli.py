@@ -1,14 +1,21 @@
 import inspect
 import json
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nosreg import errors
+from nosreg import certificates, cli, errors, modal, regulation
 from nosreg.acceptance import reference_config_dict
 from nosreg.cli import (EXIT_CODES, EXIT_SEARCH, EXIT_SIMULATION, EXIT_SYNTHESIS,
                         EXIT_VALIDATION, gnuplot_script, load_config, load_gains, main)
+from nosreg.modal import PoleSet
+from nosreg.polesearch import search
+from nosreg.regulation import synthesize
 
+ROOT = Path(__file__).resolve().parents[1]
 SLOW_POLES = [-4.847, -4.017, -2.432, -0.1032]
 
 
@@ -148,6 +155,64 @@ def test_search_is_seed_deterministic(tmp_path, capsys):
     payload = json.loads(g3.read_text())
     assert payload["seed"] == 77
     assert payload["subsystems"][0]["trials_used"] >= 1
+
+
+def test_search_designs_each_subsystem_once(tmp_path, monkeypatch):
+    # count calls at every nosreg module attribute bound to the function,
+    # as the benchmark tracer does
+    calls = Counter()
+    for fn in (regulation.solve_sylvester, modal.modal_coeffs, certificates.certify):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nosreg") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    gains = tmp_path / "g.json"
+    config = ROOT / "configs" / "benchmark_search_slow.json"
+    assert main(["search", "--config", str(config), "--out", str(gains)]) == 0
+    used = json.loads(gains.read_text())["subsystems"][0]["trials_used"]
+    # the searched trial's certificate is the design's: no second modal solve
+    assert calls == {"solve_sylvester": 1, "modal_coeffs": used, "certify": used}
+
+
+def test_mimo_search_seeds_each_subsystem(tmp_path, capsys, monkeypatch):
+    seeds = []
+
+    def recorded(spec, x0):
+        seeds.append(spec.seed)
+        return search(spec, x0)
+
+    monkeypatch.setattr(cli, "search", recorded)
+    cfg_dict = reference_config_dict(intervals=None)
+    cfg_dict.update(
+        degrees=[2, 3],
+        exosystem={"S": [[0.0, 1.0], [-1.0, 0.0]], "H": [[1.0, 0.0], [0.0, 1.0]],
+                   "w0": [1.0, 0.0]},
+        initial={"xi0": [2.0, -3.0, 0.8, 2.0, -4.0]},
+        intervals=[[[-4.0, -2.0], [-2.0, 0.0]], [[-6.0, -3.0], [-3.0, -1.0], [-1.0, 0.0]]],
+        search={"seed": 13})
+    cfg_dict["sim"]["horizon"] = 20.0
+    cfg = _write(tmp_path / "c.json", cfg_dict)
+    gains = tmp_path / "g.json"
+    assert main(["search", "--config", cfg, "--out", str(gains)]) == 0
+    assert seeds == [13, 14]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("subsystem 0: passing poles after 3 trial(s)")
+    assert lines[1].startswith("subsystem 1: passing poles after 2 trial(s)")
+    assert lines[2].startswith("subsystem 0: poles [")
+
+    payload = json.loads(gains.read_text())
+    assert payload["seed"] == 13
+    assert [sub["trials_used"] for sub in payload["subsystems"]] == [3, 2]
+    loaded = load_config(cfg)
+    ref = synthesize(loaded.degrees, loaded.exo, loaded.xi0,
+                     [PoleSet(tuple(sub["poles"])) for sub in payload["subsystems"]])
+    # JSON keeps a float's repr, so equal lists are equal bits
+    assert payload["F"] == ref.F.tolist() and payload["G"] == ref.G.tolist()
+    assert main(["simulate", "--config", cfg, "--gains", str(gains),
+                 "--csv", str(tmp_path / "t.csv"), "--plot", str(tmp_path / "t.gp")]) == 0
 
 
 def test_search_unsatisfiable_intervals_exit_code(tmp_path):
@@ -296,6 +361,8 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
      "malformed field 'intervals': interval 3 must lie on the negative axis"),
     ("intervals", [[[-4.5, -6.0], [-4.5, -3.0], [-3.0, -1.5], [-1.5, 0.0]]],
      "malformed field 'intervals': interval 0 is empty"),
+    ("intervals", [[[-6.0, -4.5], [-4.5, -3.0], [-3.0, -1.5], [0.0, 0.0]]],
+     "malformed field 'intervals': interval 3 must lie on the negative axis"),
     ("search", {"max_trials": 0}, "malformed field 'search.max_trials'"),
     ("search", {"seed": -1}, "malformed field 'search.seed'"),
     # a number field takes only a JSON number: float() and as_int would read these
@@ -336,7 +403,7 @@ def test_off_manifold_start_prints_its_p_value(tmp_path, capsys):
         "max-trials-fractional", "seed-fractional", "record-stride-fractional",
         "intervals-scalar", "exosystem-S-string", "sim-unknown-key",
         "search-sep-min", "initial-xi0-beside-plant", "exosystem-unknown-key",
-        "root-unknown-key", "interval-positive", "interval-empty",
+        "root-unknown-key", "interval-positive", "interval-empty", "interval-zero",
         "max-trials-zero", "seed-negative", "sim-step-numeric-string",
         "sim-horizon-bool", "sim-step-huge-int", "record-stride-bool",
         "pole-numeric-string", "interval-numeric-string", "w0-numeric-string",

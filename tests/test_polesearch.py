@@ -179,6 +179,10 @@ def test_interval_count_must_match_state():
 def test_positive_interval_rejected():
     with pytest.raises(DimensionMismatch):
         SearchSpec(intervals=((-2.0, -1.0), (-1.0, 0.5)))
+    # no negative point: every draw would be the pole 0, which PoleSet rejects
+    with pytest.raises(DimensionMismatch, match="interval 1 must lie on the negative axis"):
+        SearchSpec(intervals=((-2.0, -1.0), (0.0, 0.0)))
+    assert SearchSpec(intervals=((-2.0, -1.0), (-1.0, 0.0))).intervals[1] == (-1.0, 0.0)
 
 
 def test_downstream_simulation_has_no_sign_change():

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nosreg.certificates import certify
 from nosreg.chains import Exosystem, assemble_mimo, make_chain
 from nosreg.errors import CertificateFailed, DimensionMismatch, SingularMatrix
 from nosreg.modal import PoleSet, modal_coeffs, moore_feedback
-from nosreg.regulation import (nominal_ic, solve_sylvester, synthesize)
+from nosreg.polesearch import SearchSpec, search
+from nosreg.regulation import design, nominal_ic, solve_sylvester, synthesize
 
 ROTATION = Exosystem(S=[[0.0, 1.0], [-1.0, 0.0]], H=[[1.0, 0.0]], w0=[1.0, 0.0])
 SLOW_POLES = PoleSet((-4.847, -4.017, -2.432, -0.1032))
@@ -160,3 +162,41 @@ class TestSynthesize:
         rhs = sub.Pi @ quiet.S
         scale = max(1.0, np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
+
+
+class TestDesign:
+    EXO2 = Exosystem(S=ROTATION.S, H=np.eye(2), w0=[1.0, 0.0])
+    XI0 = np.array([2.0, -3.0, 0.8, 2.0, -4.0])
+    BANDS = (((-4.0, -2.0), (-2.0, 0.0)), ((-6.0, -3.0), (-3.0, -1.0), (-1.0, 0.0)))
+
+    def test_chooser_sees_each_offset_and_its_certificate_is_kept(self):
+        seen, certs = [], []
+
+        def searched(j, xt0):
+            seen.append((j, xt0))
+            poles, cert, _ = search(SearchSpec(self.BANDS[j], seed=5), xt0)
+            certs.append(cert)
+            return poles, cert
+
+        gains = design([2, 3], self.EXO2, self.XI0, searched)
+        assert [j for j, _ in seen] == [0, 1]
+        for (j, xt0), block, sub in zip(seen, (self.XI0[:2], self.XI0[2:]), gains.subsystems):
+            np.testing.assert_array_equal(xt0, nominal_ic(block, sub.Pi, self.EXO2.w0))
+        for cert, sub in zip(certs, gains.subsystems):
+            assert sub.cert is cert and sub.decomp is cert.decomp
+
+    def test_failing_chosen_certificate_names_its_subsystem(self):
+        # the offset of test_rejects_pole_set_failing_certificate
+        failing = certify(modal_coeffs(SLOW_POLES, [0.0, 3.0, 2.0, 16.0]))
+        assert not failing.passed
+
+        def chosen(j, xt0):
+            if j == 1:
+                return SLOW_POLES, failing
+            poles = PoleSet((-4.0, -2.0))
+            return poles, certify(modal_coeffs(poles, xt0))
+
+        with pytest.raises(CertificateFailed) as exc:
+            design([2, 4], self.EXO2, np.zeros(6), chosen)
+        assert exc.value.subsystem == 1
+        assert exc.value.p_value == failing.p_value

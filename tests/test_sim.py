@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 import operator
 import types
@@ -729,6 +730,20 @@ class TestCsvExport:
         np.testing.assert_array_equal(data[:, 0], traj.times)
         np.testing.assert_array_equal(data[:, 1:5], traj.x)
         np.testing.assert_array_equal(data[:, 9], traj.e[:, 0])
+
+    def test_benchmark_bytes_are_pinned(self, tmp_path):
+        # the bundled slow design's gains as literals, so the simulator and
+        # write_csv alone decide these bytes; both run on Python floats, so
+        # the digest is the same on every IEEE-754 host
+        gains = types.SimpleNamespace(
+            F=np.array([[-4.886727469977601, -51.58606353840001, -42.1933942, -11.3992]]),
+            G=np.array([[-36.3066667300224, 40.18686353840001]]))
+        traj, _ = simulate_nonlinear(benchmark_plant(), ROTATION, gains, REFERENCE_X0,
+                                     SimConfig(horizon=40.0, record_stride=10))
+        path = tmp_path / "traj.csv"
+        write_csv(traj, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ff6cc334fb7aa7a28e1df582630fb8c668d85c907e271cf00876167d87dcb0a4")
 
     def test_bytes_match_numpy_savetxt(self, tmp_path):
         # more rows than one write block, with -0.0, subnormal and huge values
