@@ -1,139 +1,150 @@
-"""Splice a plant map's straight-line body into the generated RK4 loop.
+"""Record a plant map's arithmetic from one run and splice it into the generated RK4 loop.
 
-:mod:`nosreg.sim` imports this module on its first run, not on import, so
-the source reading and parsing here add nothing to ``import nosreg``.  A map
-qualifies (:func:`splices`) when its body is arithmetic over its arguments
-whose source is the code that runs; :func:`splice` writes that body as loop
-source over the loop's own names.  Every other map is called.
+:mod:`nosreg.sim` imports this module on its first run, not on import.
+:func:`trace` runs a map once on tuples of recording numbers, which log the
+arithmetic done on them (the operator-overloading tape of automatic
+differentiation); :func:`splice` writes that log as loop source over the
+loop's own names.  A map that does anything else with a recording number is
+called by the loop instead.
 """
 
 from __future__ import annotations
 
-import ast
-import inspect
-import textwrap
-from functools import cache
-from tokenize import TokenError
-from types import CodeType, FunctionType
+from collections import Counter
+from math import isfinite
+
+from .errors import DimensionMismatch
+
+# an expression nested deeper than this is bound to a name, so the emitted
+# source stays inside the parser's limit of 200 nested parentheses
+_MAX_DEPTH = 64
 
 
-@cache
-def straight_line(code, arities: tuple[int, ...], length: int):
-    """The ``def`` node of a plant map's code that the loop can splice in, or None.
+def _refuse(*_):
+    raise TypeError("a traced plant map may only add, subtract, multiply, divide, "
+                    "raise to a power and negate its arguments")
 
-    The code qualifies when its source recompiles to its own bytecode and
-    constants, it reads no global or free name, it is a plain ``def``
-    without defaults or decorators, and its body is assignments ending in
-    ``return (...)`` of ``length`` items.  Each assignment binds a local to
-    arithmetic over constants, bound locals and arguments subscripted by a
-    constant index below their length in ``arities``, or unpacks a whole
-    argument of that length.  Spliced in, such a body does the arithmetic it
-    does when called, in the same order.  The node is returned without its
-    docstring, if any.
+
+def _operand(tape, value):
+    """How the log refers to ``value``: a node of ``tape``, or a finite constant's literal."""
+    if type(value) is _Recording and value.tape is tape:
+        return value.at
+    if type(value) is int or (type(value) is float and isfinite(value)):
+        return repr(value)
+    _refuse()
+
+
+def _binary(symbol: str):
+    """Operator ``symbol`` and its reflection, each logging it; a three-argument ``pow`` raises."""
+    def forward(self, other):
+        return self.log(symbol, self.at, _operand(self.tape, other))
+
+    def reflected(self, other):
+        return self.log(symbol, _operand(self.tape, other), self.at)
+
+    return forward, reflected
+
+
+class _Recording:
+    """A number that logs each operation done on it to the tape of its run.
+
+    ``at`` is the log's reference to it: ``(i, j)`` for item ``j`` of
+    argument ``i``, else the index of the tape entry that made it.  Each
+    entry is ``(symbol, *operands)``.  Any other arithmetic, a comparison, a
+    truth test or a conversion raises.
     """
-    if code.co_names or code.co_freevars:
-        return None
+
+    __slots__ = ("tape", "at")
+    # numpy defers to the reflected operators, and refuses to hold it in an array
+    __array_ufunc__ = None
+    __array__ = __bool__ = __eq__ = _refuse
+    __add__, __radd__ = _binary("+")
+    __sub__, __rsub__ = _binary("-")
+    __mul__, __rmul__ = _binary("*")
+    __truediv__, __rtruediv__ = _binary("/")
+    __pow__, __rpow__ = _binary("**")
+
+    def __init__(self, tape, at):
+        self.tape, self.at = tape, at
+
+    def log(self, *entry):
+        self.tape.append(entry)
+        return _Recording(self.tape, len(self.tape) - 1)
+
+    def __neg__(self):
+        return self.log("-", self.at)
+
+
+def trace(fn, name: str, arities: tuple[int, ...], length: int):
+    """The arithmetic plant map ``fn`` does, recorded from one run, or None: the loop calls it.
+
+    ``fn`` runs on one tuple of recording numbers per argument, of the
+    lengths in ``arities``.  It is recorded when it returns items that are
+    each a recording number or a finite ``int`` or ``float``, having done
+    nothing to a recording number but ``+ - * / **`` and unary minus.  The
+    record is ``(tape, items)``: the tape's entries, and each returned item
+    as the log refers to it.  A record of other than ``length`` items raises
+    :class:`DimensionMismatch` naming the map ``name``.
+    """
+    tape = []
+    args = [tuple(_Recording(tape, (i, j)) for j in range(k)) for i, k in enumerate(arities)]
     try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(code)))
-        own = next((c for c in compile(tree, code.co_filename, "exec").co_consts
-                    if isinstance(c, CodeType)), None)
-    except (OSError, SyntaxError, TokenError, ValueError):
-        # no source, or not the source of this code
+        items = tuple(_operand(tape, item) for item in fn(*args))
+    except Exception:
+        # anything but the logged arithmetic: a comparison, a conversion,
+        # math or numpy, or the map's own error
         return None
-    node = tree.body[0] if len(tree.body) == 1 else None
-    if not (isinstance(node, ast.FunctionDef) and not node.decorator_list
-            and own.co_code == code.co_code and repr(own.co_consts) == repr(code.co_consts)):
-        return None
-    args = node.args
-    if (args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg or args.defaults
-            or len(args.args) != len(arities)):
-        return None
-    arity = {a.arg: k for a, k in zip(args.args, arities)}
-    body = node.body[1:] if ast.get_docstring(node, clean=False) is not None else node.body
-    bound = set()
+    if len(items) != length:
+        raise DimensionMismatch(
+            f"plant map {name} returned {len(items)} items, expected {length}")
+    return tuple(tape), items
 
-    def arithmetic(e):
-        if isinstance(e, ast.BinOp):
-            return arithmetic(e.left) and arithmetic(e.right)
-        if isinstance(e, ast.UnaryOp):
-            return arithmetic(e.operand)
-        if isinstance(e, ast.Name):
-            return e.id in bound
-        if isinstance(e, ast.Subscript):
-            i = e.slice.value if isinstance(e.slice, ast.Constant) else None
-            return (isinstance(e.value, ast.Name) and e.value.id in arity
-                    and type(i) is int and 0 <= i < arity[e.value.id])
-        return isinstance(e, ast.Constant) and type(e.value) in (int, float)
 
-    for stmt in body[:-1]:
-        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-            return None
-        target = stmt.targets[0]
-        if isinstance(target, ast.Name) and arithmetic(stmt.value):
-            names = [target]
-        elif (isinstance(target, ast.Tuple) and isinstance(stmt.value, ast.Name)
-              and len(target.elts) == arity.get(stmt.value.id)):
-            names = target.elts
+def splice(record, args, results, prefix: str) -> list[str]:
+    """Source lines that do a :func:`trace` record's arithmetic on ``args`` into ``results``.
+
+    ``args`` holds each argument's items as source expressions, and the
+    record's items are assigned to the ``results`` names in order.  The
+    lines do the recorded operations in their recorded order: an entry used
+    once is written into the expression that uses it where that keeps the
+    order, and any other is bound to the local ``prefix + index``.  So the
+    lines compute the map's bits, and raise the map's first error.
+    """
+    tape, items = record
+    uses = Counter(a for entry in tape for a in entry[1:] if type(a) is int)
+    uses.update(a for a in items if type(a) is int)
+    expr, depth, pending, lines = {}, {}, [], []
+
+    def source(a):
+        if type(a) is int:
+            return expr[a]
+        if type(a) is tuple:
+            return args[a[0]][a[1]]
+        return f"({a})" if a.startswith("-") else a
+
+    def bind():
+        # write the pending entries, in their order
+        for k in pending:
+            lines.append(f"{prefix}{k} = {expr[k]}")
+            expr[k], depth[k] = f"{prefix}{k}", 0
+        pending.clear()
+
+    def take(operands):
+        # a use folds in the pending entries it reads when they are the last
+        # ones pending, in its operand order; else every pending entry is bound
+        folded = [a for a in operands if a in pending]
+        if folded == pending[len(pending) - len(folded):]:
+            del pending[len(pending) - len(folded):]
         else:
-            return None
-        if not all(isinstance(t, ast.Name) and t.id not in arity for t in names):
-            return None
-        bound.update(t.id for t in names)
-    ret = body[-1] if body else None
-    if not (isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)
-            and len(ret.value.elts) == length and all(map(arithmetic, ret.value.elts))):
-        return None
-    node.body = body
-    return node
+            bind()
 
-
-def splices(fn, shape) -> bool:
-    """Whether the loop splices plant map ``fn`` of ``shape`` in, rather than calling it.
-
-    ``shape`` is ``(arities, length)``: the map's argument lengths and its
-    result length.
-    """
-    return (isinstance(fn, FunctionType) and fn.__defaults__ is None
-            and fn.__kwdefaults__ is None and straight_line(fn.__code__, *shape) is not None)
-
-
-def splice(node, args, results, prefix: str) -> list[str]:
-    """Source lines that run a :func:`straight_line` body on ``args`` into ``results``.
-
-    Each argument is ``(tuple, scalars)``: the source of the tuple a call
-    would pass, and the names of its items, or None where the loop holds
-    only that tuple, by name.  Each local of the map is renamed
-    ``prefix + name``, and a constant subscript or whole unpack of an
-    argument reads its items' names, else its tuple.  The returned items are
-    assigned to the ``results`` names in order.
-    """
-    params = {a.arg: arg for a, arg in zip(node.args.args, args)}
-    names, lines = {}, []
-
-    def sub(e):
-        if isinstance(e, ast.BinOp):
-            return ast.BinOp(sub(e.left), e.op, sub(e.right))
-        if isinstance(e, ast.UnaryOp):
-            return ast.UnaryOp(e.op, sub(e.operand))
-        if isinstance(e, ast.Name):
-            return ast.Name(names[e.id])
-        if isinstance(e, ast.Subscript):
-            tuple_, scalars = params[e.value.id]
-            return (ast.Name(scalars[e.slice.value]) if scalars
-                    else ast.Subscript(ast.Name(tuple_), e.slice))
-        return e
-
-    for stmt in node.body[:-1]:
-        target = stmt.targets[0]
-        if isinstance(target, ast.Name):
-            lines.append(f"{prefix}{target.id} = {ast.unparse(sub(stmt.value))}")
-            names[target.id] = prefix + target.id
-            continue
-        tuple_, scalars = params[stmt.value.id]
-        local = [t.id for t in target.elts]
-        if scalars is None:
-            scalars = [prefix + t for t in local]
-            lines.append(f"({''.join(f'{s}, ' for s in scalars)}) = {tuple_}")
-        names.update(zip(local, scalars))
-    return lines + [f"{r} = {ast.unparse(sub(e))}"
-                    for r, e in zip(results, node.body[-1].value.elts)]
+    for k, (symbol, *operands) in enumerate(tape):
+        take(operands)
+        expr[k] = (f"(-{source(operands[0])})" if len(operands) == 1
+                   else f"({source(operands[0])} {symbol} {source(operands[1])})")
+        depth[k] = 1 + max((depth[a] for a in operands if type(a) is int), default=0)
+        pending.append(k)
+        if uses[k] != 1 or depth[k] >= _MAX_DEPTH:
+            bind()
+    take(items)
+    return lines + [f"{r} = {source(a)}" for r, a in zip(results, items)]

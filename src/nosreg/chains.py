@@ -55,8 +55,9 @@ class NonlinearPlant:
     """Closed-form maps describing a feedback-linearizable plant.
 
     The caller supplies all maps as plain callables; nothing symbolic happens
-    here.  Each callable must be pure (no internal mutable state), must accept
-    a sequence of floats, and should return a sequence of floats:
+    here.  Each callable must be pure (no internal mutable state, no side
+    effects) and generic over number types: it takes sequences of numbers and
+    returns a sequence of numbers, computed the same way whatever their type:
 
     - ``dynamics(x, u)``: state derivative, length ``state_dim``
     - ``output(x)``: plant outputs, one per relative degree
@@ -65,12 +66,12 @@ class NonlinearPlant:
     - ``linearizing_feedback(x, v)``: physical input realizing the chain input
       ``v``, one input per relative degree
 
-    The simulator compiles a map into its loop when the map is a plain
-    ``def`` whose body is straight-line arithmetic over its arguments:
-    assignments ending in ``return (...)``, reading no global or free name,
-    with each argument unpacked whole or subscripted by a constant index
-    (the built-in plant's maps are).  Every other map is called, with the
-    same results.
+    The simulator runs each map once per simulation on recording numbers,
+    and compiles what they record into its loop when the map does nothing
+    to them but ``+ - * / **`` and unary minus, with finite ``int`` or
+    ``float`` constants (the built-in plant's and ``chain_plant``'s maps).
+    Any other map (one that compares, converts or passes an argument item
+    to ``math`` or numpy) is called at every step, with the same results.
 
     Internal (zero-dynamics) coordinates are never required: the simulator
     integrates the full plant state directly.  Stability of the zero dynamics

@@ -12,13 +12,13 @@ by an order of magnitude), one compiled call per kept state.
 The :class:`Trajectory` field order is the CSV column order.
 
 Each call runs a straight-line RK4 loop generated for the sizes
-``(n, m, gamma, p)`` and the code of the plant maps it splices in, and
+``(n, m, gamma, p)`` and the arithmetic of the plant maps it splices in, and
 cached per both: the state travels as scalar arguments and locals, and the
-gains, ``S``, ``H`` and the step are closure cells, never source text.  A
-plant map whose body is straight-line arithmetic over its arguments (the
-built-in plant's four) has that body spliced into the loop by
-:mod:`nosreg._inline`; any other map is a closure cell the loop calls, with
-the same results.  The loop does
+gains, ``S``, ``H`` and the step are closure cells, never source text.
+:mod:`nosreg._inline` runs each plant map once per call on recording
+numbers; a map that only does arithmetic on them (the built-in plant's four,
+``chain_plant``'s four) has that arithmetic spliced into the loop, and any
+other map is a closure cell the loop calls, with the same results.  The loop does
 ``tests/reference.py``'s ``rk4_step`` arithmetic in its order, so its
 trajectories are byte-identical to a per-step loop's.  It also returns its
 kept start state's sample, with the ``v`` and ``u`` of its first
@@ -131,7 +131,7 @@ def _gain_rows(gains: RegulatorGains | None, p: int, gamma: int, m: int):
 
 
 # the plant maps in the order the generated loop takes them, by their names there
-_MAPS = ("normal_map", "feedback", "dynamics", "output")
+_MAPS = ("normal_map", "linearizing_feedback", "dynamics", "output")
 
 
 def _map_shapes(n: int, gamma: int, p: int):
@@ -140,43 +140,36 @@ def _map_shapes(n: int, gamma: int, p: int):
 
 
 @cache
-def _step_factory(n: int, m: int, gamma: int, p: int, codes=(None,) * 4):
+def _step_factory(n: int, m: int, gamma: int, p: int, records=(None,) * 4):
     """Compile the straight-line closed-loop RK4 loop for one shape and its spliced maps.
 
-    The source is built from the sizes and the spliced maps' code, and
-    names every value it uses.  ``codes`` holds, in ``_MAPS`` order, the
-    code of each plant map whose body is spliced into the loop (one that
-    ``_inline.straight_line`` accepts at these sizes), else None: that map is
-    called.  The returned ``factory(K, S, H, h, h2, h6, normal_map, feedback,
-    dynamics, output)`` takes the rows of ``[F G]``, ``S`` and ``H``, the
-    step, its half and its sixth and the plant maps, and returns
-    ``advance(count, observe, z0, ..., z{n+m-1})`` with those it uses as
-    closure cells.  ``advance`` takes ``count >= 0`` steps and returns the
-    new state with, if ``observe``, the start state's sample
-    ``y + r + e + u + v`` (else ``None``), whose ``v`` and ``u`` are the first
-    derivative's.  Each step is ``tests/reference.py``'s ``rk4_step``
-    arithmetic over the derivative ``(dynamics(x, feedback(x, v)), S w)``
-    with ``v = [F G] (T(x), w)``.
+    The source is built from the sizes and the records, and names every
+    value it uses.  ``records`` holds, in ``_MAPS`` order, each plant map's
+    arithmetic as ``_inline.trace`` recorded it, spliced into the loop, or
+    None: that map is called, and its result unpacked.  The returned
+    ``factory(K, S, H, h, h2, h6, normal_map, linearizing_feedback, dynamics,
+    output)`` takes the rows of ``[F G]``, ``S`` and ``H``, the step, its
+    half and its sixth and the plant maps, and returns ``advance(count,
+    observe, z0, ..., z{n+m-1})`` with those it uses as closure cells.
+    ``advance`` takes ``count >= 0`` steps and returns the new state with,
+    if ``observe``, the start state's sample ``y + r + e + u + v`` (else
+    ``None``), whose ``v`` and ``u`` are the first derivative's.  Each step
+    is ``tests/reference.py``'s ``rk4_step`` arithmetic over the derivative
+    ``(dynamics(x, feedback(x, v)), S w)`` with ``v = [F G] (T(x), w)``.
     """
-    from ._inline import splice, straight_line
+    from ._inline import splice
 
-    spliced = {name: straight_line(code, *shape)
-               for name, code, shape in zip(_MAPS, codes, _map_shapes(n, gamma, p)) if code}
+    records = dict(zip(_MAPS, records))
     K = [[f"K{i}_{j}" for j in range(gamma + m)] for i in range(p)]
     S = [[f"S{i}_{j}" for j in range(m)] for i in range(m)]
     H = [[f"H{i}_{j}" for j in range(m)] for i in range(p)]
     xi = [f"xi{j}" for j in range(gamma)]
     z = [f"z{j}" for j in range(n + m)]
     y = [f"y{j}" for j in range(n + m)]
+    vs, us, outs = ([f"{c}{i}" for i in range(p)] for c in "vuo")
 
     def tup(items):
         return "(" + "".join(f"{s}, " for s in items) + ")"
-
-    # v, u and the outputs as (tuple, scalars): items where their map is spliced
-    vs, us, outs = ([f"{c}{i}" for i in range(p)] for c in "vuo")
-    V = (tup(vs), vs) if "feedback" in spliced else ("v", None)
-    U = (tup(us), us) if "feedback" in spliced else ("u", None)
-    O = (tup(outs), outs) if "output" in spliced else ("out", None)
 
     def fold(row, vec):
         # a left fold from 0.0: sum() folds floats this way only up to
@@ -184,23 +177,20 @@ def _step_factory(n: int, m: int, gamma: int, p: int, codes=(None,) * 4):
         return " + ".join(["0.0"] + [f"{a} * {b}" for a, b in zip(row, vec)])
 
     def bind(name, args, results):
-        # results are the names of the items, or the one name of a call's tuple
-        if name in spliced:
-            return splice(spliced[name], args, results, f"{name}_")
-        target = results if isinstance(results, str) else tup(results)
-        return [f"{target} = {name}({', '.join(a for a, _ in args)})"]
+        # args and results are lists of item names
+        if records[name]:
+            return splice(records[name], args, results, f"{name}_")
+        return [f"{tup(results)} = {name}({', '.join(map(tup, args))})"]
 
     def head(at):
-        x, v = ("x", at[:n]), [fold(row, xi + at[n:]) for row in K]
-        return [*([f"x = {tup(at[:n])}"] if len(spliced) < len(_MAPS) else []),
-                *bind("normal_map", [x], xi),
-                *([f"{a} = {b}" for a, b in zip(vs, v)] if V[1] else [f"v = {tup(v)}"]),
-                *bind("feedback", [x, V], U[1] or U[0])]
+        v = [fold(row, xi + at[n:]) for row in K]
+        return [*bind("normal_map", [at[:n]], xi), *(f"{a} = {b}" for a, b in zip(vs, v)),
+                *bind("linearizing_feedback", [at[:n], vs], us)]
 
     def deriv(k, at, first=False):
         # the first derivative of a block reads the start state's head
         return [*([] if first else head(at)),
-                *bind("dynamics", [("x", at[:n]), U], [f"k{k}_{j}" for j in range(n)]),
+                *bind("dynamics", [at[:n], us], [f"k{k}_{j}" for j in range(n)]),
                 *(f"k{k}_{n + i} = {fold(row, at[n:])}" for i, row in enumerate(S))]
 
     def point(k, scale):
@@ -212,21 +202,18 @@ def _step_factory(n: int, m: int, gamma: int, p: int, codes=(None,) * 4):
                 *(f"{zj} = {zj} + h6 * (k1_{j} + 2.0 * (k2_{j} + k3_{j}) + k4_{j})"
                   for j, zj in enumerate(z))]
 
-    def items(vec):
-        return vec[1] or [f"*{vec[0]}"]
-
     # the start state's head serves both its sample and its first step,
     # which is written out so that only it skips the head
-    errors = (f"ref[{i}] - {O[1][i] if O[1] else f'out[{i}]'}" for i in range(p))
+    errors = (f"ref[{i}] - {o}" for i, o in enumerate(outs))
     body = [*head(z), "sample = None", "if observe:",
-            *(f"    {line}" for line in bind("output", [("x", z[:n])], O[1] or O[0])),
+            *(f"    {line}" for line in bind("output", [z[:n]], outs)),
             f"    ref = {tup(fold(row, z[n:]) for row in H)}",
-            f"    sample = {tup([*items(O), '*ref', *errors, *items(U), *items(V)])}",
+            f"    sample = {tup([*outs, '*ref', *errors, *us, *vs])}",
             "if count:", *(f"    {line}" for line in step(first=True)),
             "    for _ in range(count - 1):", *(f"        {line}" for line in step()),
             f"return {tup(z)}, sample"]
     src = "\n".join([
-        "def factory(K, S, H, h, h2, h6, normal_map, feedback, dynamics, output):",
+        "def factory(K, S, H, h, h2, h6, normal_map, linearizing_feedback, dynamics, output):",
         f"    {tup(tup(row) for row in K)} = K",
         f"    {tup(tup(row) for row in S)} = S",
         f"    {tup(tup(row) for row in H)} = H",
@@ -240,13 +227,13 @@ def _step_factory(n: int, m: int, gamma: int, p: int, codes=(None,) * 4):
 
 def _rk4_stepper(plant: NonlinearPlant, K_rows, S_rows, H_rows, h: float):
     """``advance(count, observe, *z)`` of the closed loop, compiled for its shape and maps."""
-    from ._inline import splices
+    from ._inline import trace
 
     n, gamma, p = plant.state_dim, sum(plant.degrees), len(K_rows)
-    maps = (plant.normal_map, plant.linearizing_feedback, plant.dynamics, plant.output)
-    codes = tuple(fn.__code__ if splices(fn, shape) else None
-                  for fn, shape in zip(maps, _map_shapes(n, gamma, p)))
-    factory = _step_factory(n, len(S_rows), gamma, p, codes)
+    maps = [getattr(plant, name) for name in _MAPS]
+    records = tuple(trace(fn, name, *shape)
+                    for fn, name, shape in zip(maps, _MAPS, _map_shapes(n, gamma, p)))
+    factory = _step_factory(n, len(S_rows), gamma, p, records)
     return factory(K_rows, S_rows, H_rows, h, 0.5 * h, h / 6.0, *maps)
 
 

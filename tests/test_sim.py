@@ -3,16 +3,17 @@ import functools
 import hashlib
 import math
 import operator
+import struct
 import types
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nosreg import sim
+from nosreg import _inline, sim
 from nosreg.acceptance import BANDS_MEDIUM
 from nosreg.chains import (Exosystem, NonlinearPlant, assemble_mimo, chain_plant,
                            make_chain, split_state)
@@ -416,6 +417,7 @@ class TestCompiledStep:
         calls = Counter()
 
         def dynamics(x, u):
+            float(x[0])            # refuses the recording numbers, so the loop calls it
             calls["dynamics"] += 1
             if calls["dynamics"] == 5:
                 raise ValueError("fails once")
@@ -437,6 +439,7 @@ class TestCompiledStep:
 
         def counted(name, fn):
             def wrapper(*args):
+                float(args[0][0])      # refuses the recording numbers, so the loop calls it
                 log.append(name)
                 return fn(*args)
             return wrapper
@@ -529,8 +532,9 @@ def _straight_escape_run(dynamics):
 
 
 def _called(fn):
-    # a closure reads a free name, so the loop calls it instead of splicing it
+    # float() refuses a recording number, so the loop calls this instead of splicing it
     def call(*args):
+        float(args[0][0])
         return fn(*args)
     return call
 
@@ -591,9 +595,9 @@ class TestSplicedMaps:
         assert outcome[0] == "UnboundLocalError" and "'y0'" in outcome[1]
 
     def test_map_whose_source_file_changed_is_called(self, tmp_path):
-        # a straight-line map exec'd from a file is spliced in while the file
-        # holds its source; once the file holds other code, or code that no
-        # longer parses, it is called
+        # a map is judged by what it computes, not by its file: one exec'd
+        # from a file is spliced in whether the file still holds its source,
+        # other code, or code that no longer parses
         maps = []
         for name, later in (("kept", "x[0],)"), ("rewritten", "-x[0],)"), ("broken", "x[0],")):
             source = f"def {name}(x):\n    return (x[0],)\n"
@@ -604,10 +608,122 @@ class TestSplicedMaps:
             path.write_text(source.replace("x[0],)", later))
             maps.append(namespace[name])
         plant, exo, *_ = _straight_escape_run(_square_dynamics)
-        kept, *changed = (dataclasses.replace(plant, output=fn) for fn in maps)
-        assert _called_maps(kept, exo) == set()
-        for plant in changed:
-            assert _called_maps(plant, exo) == {"output"}
+        for fn in maps:
+            assert _called_maps(dataclasses.replace(plant, output=fn), exo) == set()
+
+    def test_linear_form_maps_are_spliced(self):
+        # chain_plant's closures are spliced in, and the run keeps the called maps' bytes
+        plant, exo, gains, x0, cfg = _mimo_stride_7_run()
+        assert _called_maps(plant, exo) == set()
+        advance = sim._rk4_stepper(plant, sim._gain_rows(None, 2, 5, 2),
+                                   sim._rows(exo.S), sim._rows(exo.H), 1e-3)
+        assert advance.__code__.co_names == ("range",)
+        spliced = _outcome(simulate_nonlinear, plant, exo, gains, x0, cfg)
+        assert isinstance(spliced[0], bytes)          # the run completed
+        assert spliced == _outcome(simulate_nonlinear, _forced_call(plant), exo, gains, x0, cfg)
+
+    @pytest.mark.parametrize("name", PLANT_MAPS)
+    def test_map_of_the_wrong_length_names_itself(self, name):
+        plant, exo, gains, x0, cfg = _straight_escape_run(_square_dynamics)
+        plant = dataclasses.replace(plant, **{name: lambda x, *_: (x[0], x[0])})
+        with pytest.raises(DimensionMismatch,
+                           match=f"plant map {name} returned 2 items, expected 1"):
+            simulate_nonlinear(plant, exo, gains, x0, cfg)
+
+
+def _scaled(scale):
+    def output(x):
+        return (scale * x[0],)
+    return output
+
+
+# random straight-line maps of two arguments: each step appends a value
+# computed from constants and earlier values, the latest most often
+_CONSTANTS = (0, 1, 2, -3, 0.0, -0.0, 0.5, -1.5, 3.0, 1e300, 1e-300)
+_OPERANDS = st.one_of(st.integers(0, 99), st.sampled_from(_CONSTANTS).map(lambda c: (c,)))
+# zeros and huge values make divisions and powers raise
+_INPUTS = st.one_of(st.sampled_from((0.0, -0.0, 1e300, -2.5, math.inf, math.nan)), st.floats())
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_PROGRAMS = st.tuples(
+    st.lists(st.one_of(st.tuples(st.sampled_from(sorted(_BINARY)), _OPERANDS, _OPERANDS),
+                       st.tuples(st.just("**"), _OPERANDS, st.integers(-3, 4)),
+                       st.tuples(st.just("neg"), _OPERANDS, st.just(0))),
+             max_size=12),
+    st.lists(_OPERANDS, min_size=1, max_size=3))
+
+
+def _run_program(program, x, y):
+    steps, returns = program
+    values = [*x, *y]
+
+    def value(a):
+        # a tuple holds a constant; an int counts back from the latest value
+        return a[0] if type(a) is tuple else values[-1 - a % len(values)]
+
+    for symbol, a, b in steps:
+        a = value(a)
+        values.append(-a if symbol == "neg" else a ** b if symbol == "**"
+                      else _BINARY[symbol](a, value(b)))
+    return tuple(map(value, returns))
+
+
+def _bits(fn, *args):
+    """Each returned item's type and bits, or the type of the arithmetic error raised."""
+    try:
+        return [(type(r), struct.pack("<d", r) if type(r) is float else r) for r in fn(*args)]
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestRecorder:
+    """What the recorder splices in, what it leaves to be called, and that splicing keeps bits."""
+
+    @pytest.mark.parametrize("output", [
+        lambda x: tuple(np.array([[1.0]]) @ x),
+        lambda x: (math.sin(x[0]),),
+        lambda x: (x[0] if x[0] > 0.0 else -x[0],),
+        lambda x: (abs(x[0]),),
+        lambda x: (x[0] // 2.0,),
+        lambda x: (x[0] * np.float64(2.0),),
+        lambda x: (x[0] + math.inf,),
+    ], ids=["numpy-matmul", "math-sin", "branch", "abs", "floordiv", "numpy-constant",
+            "infinite-constant"])
+    def test_map_refusing_a_recording_number_is_called(self, output):
+        plant, exo, *_ = _straight_escape_run(_square_dynamics)
+        assert _called_maps(dataclasses.replace(plant, output=output), exo) == {"output"}
+
+    @pytest.mark.parametrize("output", [
+        lambda x: (x[0] * 2.0,),
+        _scaled(3.0),
+        lambda x: (10.0 ** (x[0] - 400.0),),
+        lambda x: (sum([x[0]] * 500),),
+    ], ids=["lambda", "closure", "power-of-ten", "500-term-sum"])
+    def test_arithmetic_map_is_spliced(self, output):
+        plant, exo, gains, x0, cfg = _straight_escape_run(_square_dynamics)
+        plant = dataclasses.replace(plant, output=output)
+        assert _called_maps(plant, exo) == set()
+        cfg = dataclasses.replace(cfg, horizon=0.5)       # x runs from 1 to 2, short of escape
+        outcome = _outcome(simulate_nonlinear, plant, exo, gains, x0, cfg)
+        assert isinstance(outcome[0], bytes)              # the run completed
+        assert outcome == _outcome(simulate_nonlinear, _forced_call(plant), exo, gains, x0, cfg)
+
+    @given(_PROGRAMS, st.tuples(_INPUTS, _INPUTS), st.tuples(_INPUTS))
+    # x0 / 0 raises before x1 ** 4 overflows, though their sum reads them the other way
+    @example(([("/", 2, (0,)), ("**", 2, 4), ("+", 0, 1)], [0]), (1.0, 1e300), (0.0,))
+    # 3.0 - x0 and 1 / x1 record their reflected operands
+    @example(([("-", (3.0,), 2), ("/", (1,), 2)], [0, 1]), (0.5, 2.0), (0.0,))
+    def test_spliced_arithmetic_has_the_called_bits_and_errors(self, program, x, y):
+        length = len(program[1])
+        record = _inline.trace(functools.partial(_run_program, program), "map", (2, 1), length)
+        # only arithmetic on constants alone can fail while recording
+        assume(record is not None)
+        results = [f"r{i}" for i in range(length)]
+        lines = _inline.splice(record, [["x0", "x1"], ["y0"]], results, "map_")
+        source = "\n    ".join(["def spliced(x0, x1, y0):", *lines,
+                                  f"return ({''.join(f'{r}, ' for r in results)})"])
+        namespace = {}
+        exec(source, namespace)
+        assert _bits(namespace["spliced"], *x, *y) == _bits(_run_program, program, x, y)
 
 
 class TestBenchmarkPlant:
