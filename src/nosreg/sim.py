@@ -8,30 +8,32 @@ jointly with the plant.  Fixed stepping keeps runs deterministic (identical
 inputs give byte-identical trajectories) and makes sample-bracket overshoot
 detection well defined.  The loop steps the state on plain Python floats
 (a handful of components, where float arithmetic beats small-array overhead
-by an order of magnitude), one compiled call per kept state.
+by an order of magnitude), one compiled call per kept state; a C compiler,
+if present, runs the same loop with the same bytes, every block in one call.
 The :class:`Trajectory` field order is the CSV column order.
 
 Each call runs a straight-line RK4 loop generated for the sizes
 ``(n, m, gamma, p)`` and the arithmetic of the plant maps it splices in, and
 cached per both: the state travels as scalar arguments and locals, and the
-gains, ``S``, ``H`` and the step are closure cells, never source text.
-:mod:`nosreg._inline` runs each plant map once per call on recording
-numbers; a map that only does arithmetic on them (the built-in plant's four,
-``chain_plant``'s four) has that arithmetic spliced into the loop, and any
-other map is a closure cell the loop calls, with the same results.  The loop does
-``tests/reference.py``'s ``rk4_step`` arithmetic in its order, so its
-trajectories are byte-identical to a per-step loop's.  It also returns its
-kept start state's sample, with the ``v`` and ``u`` of its first
-derivative, so a run is one pass.  The states kept are every
+gains, ``S``, ``H``, the step and the maps' constants are parameters, never
+source text.  :mod:`nosreg._inline` runs each plant map once per call on
+recording numbers; a map that only does arithmetic on them (the built-in
+plant's four, ``chain_plant``'s four) has that arithmetic spliced into the
+loop, and any other map is a closure cell the loop calls, with the same
+results.  The loop does ``tests/reference.py``'s ``rk4_step`` arithmetic in
+its order, so its trajectories are byte-identical to a per-step loop's.  It
+also returns its kept start state's sample, with the ``v`` and ``u`` of its
+first derivative, so a run is one pass.  The states kept are every
 ``record_stride``-th and the horizon's, which takes no step.  A block is
 checked for finiteness at its end, and a block that fails is replayed to
-report the first fault.
+report the first fault.  :mod:`nosreg._native` prints the same loop as C;
+it runs the blocks before the first that faults, and the Python loop runs
+the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cache
 from math import isfinite
 
 import numpy as np
@@ -43,8 +45,9 @@ from .regulation import RegulatorGains
 
 DEFAULT_ZERO_BAND = 1e-9
 
-# the most steps a run may take: over a minute for the degree-4 plant at about
-# 7 us a step, and as many kept states at record_stride 1.  No run needs more
+# the most steps a run may take: half a minute or more for the degree-4 plant
+# on the Python loop at 3-7 us a step, under a second in C at about 0.06 us,
+# and as many kept states at record_stride 1.  No run needs more
 MAX_STEPS = 10 ** 7
 
 # rows write_csv formats per write: the file is never one string in memory
@@ -130,111 +133,22 @@ def _gain_rows(gains: RegulatorGains | None, p: int, gamma: int, m: int):
     return _rows(np.hstack([gains.F, gains.G]))
 
 
-# the plant maps in the order the generated loop takes them, by their names there
-_MAPS = ("normal_map", "linearizing_feedback", "dynamics", "output")
-
-
-def _map_shapes(n: int, gamma: int, p: int):
-    """Each map's argument lengths and result length, in ``_MAPS`` order."""
-    return (((n,), gamma), ((n, p), p), ((n, p), n), ((n,), p))
-
-
-@cache
-def _step_factory(n: int, m: int, gamma: int, p: int, records=(None,) * 4):
-    """Compile the straight-line closed-loop RK4 loop for one shape and its spliced maps.
-
-    The source is built from the sizes and the records, and names every
-    value it uses.  ``records`` holds, in ``_MAPS`` order, each plant map's
-    arithmetic as ``_inline.trace`` recorded it, spliced into the loop, or
-    None: that map is called, and its result unpacked.  The returned
-    ``factory(K, S, H, h, h2, h6, normal_map, linearizing_feedback, dynamics,
-    output)`` takes the rows of ``[F G]``, ``S`` and ``H``, the step, its
-    half and its sixth and the plant maps, and returns ``advance(count,
-    observe, z0, ..., z{n+m-1})`` with those it uses as closure cells.
-    ``advance`` takes ``count >= 0`` steps and returns the new state with,
-    if ``observe``, the start state's sample ``y + r + e + u + v`` (else
-    ``None``), whose ``v`` and ``u`` are the first derivative's.  Each step
-    is ``tests/reference.py``'s ``rk4_step`` arithmetic over the derivative
-    ``(dynamics(x, feedback(x, v)), S w)`` with ``v = [F G] (T(x), w)``.
-    """
-    from ._inline import splice
-
-    records = dict(zip(_MAPS, records))
-    K = [[f"K{i}_{j}" for j in range(gamma + m)] for i in range(p)]
-    S = [[f"S{i}_{j}" for j in range(m)] for i in range(m)]
-    H = [[f"H{i}_{j}" for j in range(m)] for i in range(p)]
-    xi = [f"xi{j}" for j in range(gamma)]
-    z = [f"z{j}" for j in range(n + m)]
-    y = [f"y{j}" for j in range(n + m)]
-    vs, us, outs = ([f"{c}{i}" for i in range(p)] for c in "vuo")
-
-    def tup(items):
-        return "(" + "".join(f"{s}, " for s in items) + ")"
-
-    def fold(row, vec):
-        # a left fold from 0.0: sum() folds floats this way only up to
-        # Python 3.11, and the leading 0.0 makes an all -0.0 product +0.0
-        return " + ".join(["0.0"] + [f"{a} * {b}" for a, b in zip(row, vec)])
-
-    def bind(name, args, results):
-        # args and results are lists of item names
-        if records[name]:
-            return splice(records[name], args, results, f"{name}_")
-        return [f"{tup(results)} = {name}({', '.join(map(tup, args))})"]
-
-    def head(at):
-        v = [fold(row, xi + at[n:]) for row in K]
-        return [*bind("normal_map", [at[:n]], xi), *(f"{a} = {b}" for a, b in zip(vs, v)),
-                *bind("linearizing_feedback", [at[:n], vs], us)]
-
-    def deriv(k, at, first=False):
-        # the first derivative of a block reads the start state's head
-        return [*([] if first else head(at)),
-                *bind("dynamics", [at[:n], us], [f"k{k}_{j}" for j in range(n)]),
-                *(f"k{k}_{n + i} = {fold(row, at[n:])}" for i, row in enumerate(S))]
-
-    def point(k, scale):
-        return [f"{yj} = {zj} + {scale} * k{k}_{j}" for j, (yj, zj) in enumerate(zip(y, z))]
-
-    def step(first=False):
-        return [*deriv(1, z, first), *point(1, "h2"), *deriv(2, y), *point(2, "h2"),
-                *deriv(3, y), *point(3, "h"), *deriv(4, y),
-                *(f"{zj} = {zj} + h6 * (k1_{j} + 2.0 * (k2_{j} + k3_{j}) + k4_{j})"
-                  for j, zj in enumerate(z))]
-
-    # the start state's head serves both its sample and its first step,
-    # which is written out so that only it skips the head
-    errors = (f"ref[{i}] - {o}" for i, o in enumerate(outs))
-    body = [*head(z), "sample = None", "if observe:",
-            *(f"    {line}" for line in bind("output", [z[:n]], outs)),
-            f"    ref = {tup(fold(row, z[n:]) for row in H)}",
-            f"    sample = {tup([*outs, '*ref', *errors, *us, *vs])}",
-            "if count:", *(f"    {line}" for line in step(first=True)),
-            "    for _ in range(count - 1):", *(f"        {line}" for line in step()),
-            f"return {tup(z)}, sample"]
-    src = "\n".join([
-        "def factory(K, S, H, h, h2, h6, normal_map, linearizing_feedback, dynamics, output):",
-        f"    {tup(tup(row) for row in K)} = K",
-        f"    {tup(tup(row) for row in S)} = S",
-        f"    {tup(tup(row) for row in H)} = H",
-        f"    def advance(count, observe, {', '.join(z)}):",
-        *(f"        {line}" for line in body),
-        "    return advance"])
-    namespace = {}
-    exec(compile(src, f"<rk4 loop n={n} m={m} gamma={gamma} p={p}>", "exec"), namespace)
-    return namespace["factory"]
-
-
 def _rk4_stepper(plant: NonlinearPlant, K_rows, S_rows, H_rows, h: float):
-    """``advance(count, observe, *z)`` of the closed loop, compiled for its shape and maps."""
-    from ._inline import trace
+    """``advance(count, observe, *z)`` of the closed loop, and its native twin or None.
+
+    Both are built for the loop's shape and the plant maps' records, by
+    :func:`nosreg._inline.step_factory` and :func:`nosreg._native.kernel`.
+    """
+    from ._inline import MAPS, map_shapes, parameters, step_factory, trace
+    from ._native import kernel
 
     n, gamma, p = plant.state_dim, sum(plant.degrees), len(K_rows)
-    maps = [getattr(plant, name) for name in _MAPS]
-    records = tuple(trace(fn, name, *shape)
-                    for fn, name, shape in zip(maps, _MAPS, _map_shapes(n, gamma, p)))
-    factory = _step_factory(n, len(S_rows), gamma, p, records)
-    return factory(K_rows, S_rows, H_rows, h, 0.5 * h, h / 6.0, *maps)
+    maps = [getattr(plant, name) for name in MAPS]
+    records, constants = zip(*(trace(fn, name, *shape)
+                               for fn, name, shape in zip(maps, MAPS, map_shapes(n, gamma, p))))
+    shape = (n, len(S_rows), gamma, p, records)
+    params = parameters(K_rows, S_rows, H_rows, h, constants)
+    return step_factory(*shape)(params, *maps), kernel(*shape, params)
 
 
 def _raise_first_fault(advance, z, k: int, count: int, h: float):
@@ -282,13 +196,18 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
     x0 = as_vector(x0, length=n)
     h, stride = cfg.step, cfg.record_stride
     steps = int(round(cfg.horizon / h))
-    advance = _rk4_stepper(plant, _gain_rows(gains, p, gamma, m), _rows(exo.S),
-                           _rows(exo.H), h)
+    advance, native = _rk4_stepper(plant, _gain_rows(gains, p, gamma, m), _rows(exo.S),
+                                   _rows(exo.H), h)
     # tolist() gives Python floats; np.float64 elements would run the loop
     # on numpy scalars, with the same bytes but markedly slower
     z = tuple(x0.tolist() + exo.w0.tolist())
-    times, states, samples = [], [], []
-    for k in (*range(0, steps, stride), steps):
+    kept = (*range(0, steps, stride), steps)
+    # the native loop keeps the blocks before the first that faults, which
+    # the loop below runs again from its start state z
+    done, z = (native(z, steps, stride) if native
+               else ((np.empty((0, n + m)), np.empty((0, 5 * p))), z))
+    states, samples = [], []
+    for k in kept[len(done[0]):]:
         # one block per kept state, stepping to the next; the horizon's state
         # is kept last, with no steps, whatever the stride.  A non-finite
         # component stays non-finite through z + h6 * (...), so a finite
@@ -302,13 +221,14 @@ def simulate_nonlinear(plant: NonlinearPlant, exo: Exosystem,
             finite = False
         if not finite:
             _raise_first_fault(advance, z, k, count, h)
-        times.append(k * h)
         states.append(z)
         samples.append(sample)
         z = end
+    if states:
+        done = [np.concatenate((a, np.reshape(b, (-1, a.shape[1]))))
+                for a, b in zip(done, (states, samples))]
     # each sample holds y, r, e, u, v: with t, x, w that is the Trajectory field order
-    traj = Trajectory(np.array(times), *np.hsplit(np.array(states), [n]),
-                      *np.hsplit(np.array(samples), 5))
+    traj = Trajectory(np.array(kept) * h, *np.hsplit(done[0], [n]), *np.hsplit(done[1], 5))
     return traj, detect_overshoot(traj.times, traj.e, cfg.zero_band)
 
 

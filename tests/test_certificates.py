@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nosreg.certificates import certify, certify_n2, certify_n3_closedform
-from nosreg.errors import DimensionMismatch
+from nosreg.errors import DimensionMismatch, SingularMatrix
 from nosreg.modal import (ModalDecomposition, PoleSet, modal_coeffs, natural_response,
                           vandermonde)
 
@@ -101,6 +101,22 @@ class TestCertify:
         if out.any():
             s0 = np.sign(y[out][0])
             assert np.all(s0 * y >= -1e-9)
+
+
+    @pytest.mark.xfail(strict=True, raises=SingularMatrix,
+                       reason="modal_coeffs' residual guard rejects a residual of 4.4e-9, "
+                              "30 times below its rounding floor n eps max(|V| |alpha|)")
+    def test_passing_certificates_are_sound_at_a_rounding_floor_draw(self):
+        # test_passing_certificates_are_sound's draw at seed=136789, n=5: the
+        # guard's absolute 3e-9 tolerance is below what the solve can reach
+        rng = np.random.default_rng(136789)
+        gaps = rng.uniform(0.1, 3.0, size=5)
+        poles = PoleSet(tuple(-np.cumsum(gaps[::-1])[::-1]))
+        decomp = modal_coeffs(poles, rng.uniform(-5.0, 5.0, size=5))
+        if certify(decomp).passed:
+            y = natural_response(decomp, np.linspace(0.0, 60.0, 2000))
+            out = np.abs(y) > 1e-9
+            assert not out.any() or np.all(np.sign(y[out][0]) * y >= -1e-9)
 
 
 class TestCertifyN2:

@@ -29,5 +29,6 @@ def test_import_adds_only_the_package_and_its_stdlib_modules():
     added = set(done.stdout.split())
     assert {name for name in added if not name.startswith("nosreg.")} == {
         "nosreg", "__future__", "copy", "dataclasses"}
-    # the plant-map splicer is loaded by the first simulation, not on import
-    assert "nosreg._inline" not in added
+    # the plant-map splicer and the native loop are loaded by the first
+    # simulation, not on import
+    assert not {"nosreg._inline", "nosreg._native", "ctypes"} & added

@@ -3,20 +3,23 @@ import functools
 import hashlib
 import math
 import operator
+import shutil
 import struct
 import types
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nosreg import _inline, sim
+from nosreg import _inline, _native, sim
 from nosreg.acceptance import BANDS_MEDIUM
 from nosreg.chains import (Exosystem, NonlinearPlant, assemble_mimo, chain_plant,
                            make_chain, split_state)
+from nosreg.cli import main
 from nosreg.errors import DimensionMismatch, NonFiniteState
 from nosreg.modal import PoleSet, modal_coeffs, natural_response
 from nosreg.plants import REFERENCE_X0, benchmark_plant
@@ -26,6 +29,8 @@ from nosreg.sim import (SimConfig, Trajectory, detect_overshoot, simulate_nonlin
                         write_csv)
 from reference import rk4_step
 
+ROOT = Path(__file__).resolve().parents[1]
+HAVE_CC = shutil.which("cc") is not None
 ROTATION = Exosystem(S=[[0.0, 1.0], [-1.0, 0.0]], H=[[1.0, 0.0]], w0=[1.0, 0.0])
 SLOW_POLES = PoleSet((-4.847, -4.017, -2.432, -0.1032))
 XI0 = np.array([0.0, 2.0, -5.0, 4.0])
@@ -466,14 +471,14 @@ class TestCompiledStep:
             exo = Exosystem(S=rng.uniform(-2.0, 2.0, size=(2, 2)), H=np.eye(2), w0=[1.0, 0.0])
             h = float(rng.uniform(1e-4, 1e-2))
             steppers.append(sim._rk4_stepper(plant, sim._rows(gains), sim._rows(exo.S),
-                                             sim._rows(exo.H), h))
+                                             sim._rows(exo.H), h)[0])
             values |= set(gains.ravel().tolist()) | set(exo.S.ravel().tolist())
             values |= {h, 0.5 * h, h / 6.0}
         a, b = steppers
         assert a.__code__.co_code == b.__code__.co_code
         # the values live in closure cells, never in the compiled source
         assert set(gains.ravel().tolist()) <= {c.cell_contents for c in b.__closure__}
-        codes, consts = [sim._step_factory(5, 2, 5, 2).__code__], []
+        codes, consts = [_inline.step_factory(5, 2, 5, 2).__code__], []
         while codes:
             code = codes.pop()
             codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
@@ -483,8 +488,8 @@ class TestCompiledStep:
     def test_advance_reads_only_locals_and_cells(self):
         # every value the loop uses is an argument, a local or a closure
         # cell; a global or builtin lookup per step would cost a dict probe
-        advance = sim._rk4_stepper(benchmark_plant(), sim._gain_rows(None, 1, 4, 2),
-                                   sim._rows(ROTATION.S), sim._rows(ROTATION.H), 1e-3)
+        advance, _ = sim._rk4_stepper(benchmark_plant(), sim._gain_rows(None, 1, 4, 2),
+                                      sim._rows(ROTATION.S), sim._rows(ROTATION.H), 1e-3)
         assert advance.__code__.co_names == ("range",)
 
 
@@ -546,9 +551,9 @@ def _forced_call(plant):
 
 def _called_maps(plant, exo):
     """The plant maps the compiled loop holds as closure cells, to call them."""
-    advance = sim._rk4_stepper(plant, sim._gain_rows(None, plant.input_dim,
-                                                     sum(plant.degrees), exo.dim),
-                               sim._rows(exo.S), sim._rows(exo.H), 1e-3)
+    advance, _ = sim._rk4_stepper(plant, sim._gain_rows(None, plant.input_dim,
+                                                        sum(plant.degrees), exo.dim),
+                                  sim._rows(exo.S), sim._rows(exo.H), 1e-3)
     cells = [cell.cell_contents for cell in advance.__closure__]
     return {name for name in PLANT_MAPS if any(c is getattr(plant, name) for c in cells)}
 
@@ -560,8 +565,8 @@ class TestSplicedMaps:
         plant = benchmark_plant()
         assert _called_maps(plant, ROTATION) == set()
         assert _called_maps(_forced_call(plant), ROTATION) == set(PLANT_MAPS)
-        advance = sim._rk4_stepper(plant, sim._gain_rows(None, 1, 4, 2),
-                                   sim._rows(ROTATION.S), sim._rows(ROTATION.H), 1e-3)
+        advance, _ = sim._rk4_stepper(plant, sim._gain_rows(None, 1, 4, 2),
+                                      sim._rows(ROTATION.S), sim._rows(ROTATION.H), 1e-3)
         assert advance.__code__.co_names == ("range",)
 
     def test_spliced_and_called_runs_are_byte_identical(self):
@@ -615,8 +620,8 @@ class TestSplicedMaps:
         # chain_plant's closures are spliced in, and the run keeps the called maps' bytes
         plant, exo, gains, x0, cfg = _mimo_stride_7_run()
         assert _called_maps(plant, exo) == set()
-        advance = sim._rk4_stepper(plant, sim._gain_rows(None, 2, 5, 2),
-                                   sim._rows(exo.S), sim._rows(exo.H), 1e-3)
+        advance, _ = sim._rk4_stepper(plant, sim._gain_rows(None, 2, 5, 2),
+                                      sim._rows(exo.S), sim._rows(exo.H), 1e-3)
         assert advance.__code__.co_names == ("range",)
         spliced = _outcome(simulate_nonlinear, plant, exo, gains, x0, cfg)
         assert isinstance(spliced[0], bytes)          # the run completed
@@ -644,12 +649,16 @@ _OPERANDS = st.one_of(st.integers(0, 99), st.sampled_from(_CONSTANTS).map(lambda
 # zeros and huge values make divisions and powers raise
 _INPUTS = st.one_of(st.sampled_from((0.0, -0.0, 1e300, -2.5, math.inf, math.nan)), st.floats())
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-_PROGRAMS = st.tuples(
-    st.lists(st.one_of(st.tuples(st.sampled_from(sorted(_BINARY)), _OPERANDS, _OPERANDS),
-                       st.tuples(st.just("**"), _OPERANDS, st.integers(-3, 4)),
-                       st.tuples(st.just("neg"), _OPERANDS, st.just(0))),
-             max_size=12),
-    st.lists(_OPERANDS, min_size=1, max_size=3))
+
+
+def _steps(exponents):
+    return st.lists(st.one_of(st.tuples(st.sampled_from(sorted(_BINARY)), _OPERANDS, _OPERANDS),
+                              st.tuples(st.just("**"), _OPERANDS, exponents),
+                              st.tuples(st.just("neg"), _OPERANDS, st.just(0))),
+                    max_size=12)
+
+
+_PROGRAMS = st.tuples(_steps(st.integers(-3, 4)), st.lists(_OPERANDS, min_size=1, max_size=3))
 
 
 def _run_program(program, x, y):
@@ -714,16 +723,202 @@ class TestRecorder:
     @example(([("-", (3.0,), 2), ("/", (1,), 2)], [0, 1]), (0.5, 2.0), (0.0,))
     def test_spliced_arithmetic_has_the_called_bits_and_errors(self, program, x, y):
         length = len(program[1])
-        record = _inline.trace(functools.partial(_run_program, program), "map", (2, 1), length)
+        record, constants = _inline.trace(functools.partial(_run_program, program), "map",
+                                          (2, 1), length)
         # only arithmetic on constants alone can fail while recording
         assume(record is not None)
         results = [f"r{i}" for i in range(length)]
-        lines = _inline.splice(record, [["x0", "x1"], ["y0"]], results, "map_")
-        source = "\n    ".join(["def spliced(x0, x1, y0):", *lines,
-                                  f"return ({''.join(f'{r}, ' for r in results)})"])
+        names = [f"c{j}" for j in range(len(constants))]
+        lines = _inline.splice(record, [["x0", "x1"], ["y0"], names], results, "map_")
+        source = "\n    ".join([f"def spliced({', '.join(['x0', 'x1', 'y0', *names])}):",
+                                  *lines, f"return ({''.join(f'{r}, ' for r in results)})"])
         namespace = {}
         exec(source, namespace)
-        assert _bits(namespace["spliced"], *x, *y) == _bits(_run_program, program, x, y)
+        assert (_bits(namespace["spliced"], *x, *y, *constants)
+                == _bits(_run_program, program, x, y))
+
+
+def _native_kernels(monkeypatch):
+    """Each native kernel the simulations build from now on, or None: the Python loop ran."""
+    built, kernel = [], _native.kernel
+
+    def spy(*args):
+        built.append(kernel(*args))
+        return built[-1]
+
+    monkeypatch.setattr(_native, "kernel", spy)
+    return built
+
+
+def _python_loop(monkeypatch):
+    """Run every simulation from now on on the Python loop alone."""
+    monkeypatch.setattr(_native, "kernel", lambda *args: None)
+
+
+def _native_and_python(monkeypatch, plant, exo, gains, x0, cfg):
+    """A run's outcome on the native loop and on the Python loop alone, and the kernels built."""
+    built = _native_kernels(monkeypatch)
+    native = _outcome(simulate_nonlinear, plant, exo, gains, x0, cfg)
+    _python_loop(monkeypatch)
+    return native, _outcome(simulate_nonlinear, plant, exo, gains, x0, cfg), built
+
+
+def _off_stride_run():
+    # 100 steps at stride 7: the last block is 2 steps, then the horizon's state
+    return (benchmark_plant(), ROTATION, _benchmark_gains(), REFERENCE_X0,
+            SimConfig(step=0.01, horizon=1.0, record_stride=7))
+
+
+def _exact_run(dynamics, output=_first, x0=0.5):
+    # at step 1/8, x' = +-1 moves x by exactly 1/8 a step, and an RK4 stage by 1/16
+    plant = NonlinearPlant(state_dim=1, degrees=(1,), dynamics=dynamics, output=output,
+                           normal_map=_first, linearizing_feedback=_pass_v)
+    return (plant, Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0]), None, (x0,),
+            SimConfig(step=0.125, horizon=2.0, record_stride=3))
+
+
+def _overflow_then_finite_run():
+    # from x = 3/8 on, 1e300 * (x * 1e10) overflows to inf and the output is 0.0
+    return _exact_run(lambda x, u: (u[0] + 1.0,),
+                      output=lambda x: (x[0] / (1.0 + 1e300 * (x[0] * 1e10)),), x0=0.0)
+
+
+def _power_overflow_then_finite_run():
+    # from x = 3/8 on, 10.0 ** (x * 1e3) raises OverflowError, where C has inf and then 0.0
+    return _exact_run(lambda x, u: (u[0] + 1.0,),
+                      output=lambda x: (1.0 / 10.0 ** (x[0] * 1e3),), x0=0.0)
+
+
+# in the next two, C's value is finite again after the faulting operation, so
+# only the fault flags stop the native loop where Python raises
+
+def _division_by_zero_run():
+    # x falls from 1/2 and is exactly 0.0 at the last stage of step 4
+    return _exact_run(lambda x, u: (u[0] - 1.0 + 0.0 * (1.0 / (1.0 / x[0])),))
+
+
+def _negative_base_run():
+    # x falls below 0.0 in step 5, and a negative float to a fractional power is complex
+    return _exact_run(lambda x, u: (u[0] - 1.0 + 0.0 * (x[0] ** 0.5) ** 0,))
+
+
+def _nonfinite_state_run():
+    # test_nonfinite_state_reported_with_time's plant: inf at the first step
+    plant = NonlinearPlant(state_dim=1, degrees=(1,),
+                           dynamics=lambda x, u: (x[0] * 1e308 * 10.0,),
+                           output=lambda x: (x[0],), normal_map=lambda x: x,
+                           linearizing_feedback=lambda x, v: v)
+    return (plant, Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0]), None, (1.0,),
+            SimConfig(step=0.5, horizon=2.0))
+
+
+# random maps x' = f(x, u) of a two-state plant, powers fractional too
+_DYNAMICS = st.tuples(_steps(st.one_of(st.integers(-3, 4), st.sampled_from((0.5, -1.5)))),
+                      st.lists(_OPERANDS, min_size=2, max_size=2))
+_STARTS = st.lists(st.tuples(*[st.one_of(st.sampled_from((0.0, -0.0, 1e300, -2.5)),
+                                         st.floats(allow_nan=False, allow_infinity=False))] * 2),
+                   min_size=1, max_size=3)
+
+
+class TestNativeLoop:
+    """The C loop against the Python loop it is printed from: the same bytes, the same errors."""
+
+    @pytest.mark.parametrize("run", [_searched_benchmark_run, _mimo_stride_7_run,
+                                     _off_stride_run, _no_gains_run, _stride_1_run,
+                                     _short_run],
+                             ids=["benchmark-searched", "mimo-stride-7", "horizon-off-stride",
+                                  "no-gains", "stride-1", "fewer-steps-than-stride"])
+    def test_bytes_match_the_python_loop(self, monkeypatch, run):
+        native, python, built = _native_and_python(monkeypatch, *run())
+        assert isinstance(native[0], bytes)          # the run completed
+        assert native == python
+        assert [kernel is not None for kernel in built] == [HAVE_CC]
+
+    @pytest.mark.parametrize("band", ["slow", "medium", "fast"])
+    def test_bundled_search_and_simulate_match_the_python_loop(self, tmp_path, monkeypatch,
+                                                               capsys, band):
+        config = str(ROOT / "configs" / f"benchmark_search_{band}.json")
+
+        def outputs(loop):
+            folder = tmp_path / loop
+            folder.mkdir()
+            files = [folder / name for name in ("gains.json", "traj.csv", "traj.gp")]
+            assert main(["search", "--config", config, "--out", str(files[0])]) == 0
+            assert main(["simulate", "--config", config, "--gains", str(files[0]),
+                         "--csv", str(files[1]), "--plot", str(files[2])]) == 0
+            out = capsys.readouterr().out.replace(str(folder), "")
+            return [f.read_bytes().replace(str(folder).encode(), b"") for f in files], out
+
+        built = _native_kernels(monkeypatch)
+        native = outputs("native")
+        _python_loop(monkeypatch)
+        assert native == outputs("python")
+        assert [kernel is not None for kernel in built] == [HAVE_CC]
+
+    @pytest.mark.parametrize("run, error", [
+        (_overflow_then_finite_run, None),
+        (_power_overflow_then_finite_run, ("NonFiniteState", 0.375)),
+        (_division_by_zero_run, ("ZeroDivisionError", None)),
+        (_negative_base_run, ("TypeError", None)),
+        (_nonfinite_state_run, ("NonFiniteState", 0.5)),
+    ], ids=["overflow-then-finite", "power-overflow-then-finite", "division-by-zero",
+            "negative-base-fractional-power", "nonfinite-state-time"])
+    def test_faults_match_the_python_loop(self, monkeypatch, run, error):
+        native, python, built = _native_and_python(monkeypatch, *run())
+        assert native == python
+        assert [kernel is not None for kernel in built] == [HAVE_CC]
+        if error is None:
+            assert isinstance(native[0], bytes)      # the run completed
+        else:
+            assert (native[0], native[2]) == error
+
+    def test_unread_division_keeps_the_python_loop(self, monkeypatch):
+        # u = v / x is read by the sample but not by the dynamics, so C could
+        # drop its division at the RK4 stages, where x is exactly 0.0 in step 4
+        run = _exact_run(lambda x, u: (x[0] * 0.0 - 1.0,))
+        plant = dataclasses.replace(run[0], linearizing_feedback=lambda x, v: (v[0] / x[0],))
+        native, python, built = _native_and_python(monkeypatch, plant, *run[1:])
+        assert native == python
+        assert native[0] == "ZeroDivisionError"
+        assert built == [None]
+
+    def test_missing_compiler_gives_the_same_bytes(self, monkeypatch):
+        run = _searched_benchmark_run()
+        native = _outcome(simulate_nonlinear, *run)
+        monkeypatch.setenv("PATH", "")
+        monkeypatch.setattr(_native, "_build", functools.cache(_native._build.__wrapped__))
+        built = _native_kernels(monkeypatch)
+        assert _outcome(simulate_nonlinear, *run) == native
+        assert built == [None]
+
+    def test_plants_differing_in_a_constant_share_one_loop(self, monkeypatch):
+        # each constant is a parameter, never source text: 200 plants y = c x
+        # compile one Python loop and build one kernel, with the called map's bits
+        for module, name in ((_inline, "step_factory"), (_native, "_source"),
+                             (_native, "_build")):
+            monkeypatch.setattr(module, name, functools.cache(getattr(module, name).__wrapped__))
+        plant, exo, gains, x0, cfg = _straight_escape_run(_square_dynamics)
+        cfg = dataclasses.replace(cfg, horizon=0.2)
+        for c in (*np.linspace(-3.0, 3.0, 197).tolist(), -0.0, 3, 10 ** 20):
+            traj, _ = simulate_nonlinear(dataclasses.replace(plant, output=_scaled(c)),
+                                         exo, gains, x0, cfg)
+            assert traj.y.tobytes() == np.array([c * x for x in traj.x[:, 0].tolist()]).tobytes()
+        assert _inline.step_factory.cache_info().currsize == 1
+        assert _native._source.cache_info().currsize == 1
+        assert _native._build.cache_info().currsize == 1
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(_DYNAMICS, _STARTS)
+    def test_random_maps_match_the_called_maps(self, program, starts):
+        plant = NonlinearPlant(state_dim=2, degrees=(2,),
+                               dynamics=lambda x, u: _run_program(program, x, u),
+                               output=_first, normal_map=lambda x: (x[0], x[1]),
+                               linearizing_feedback=_pass_v)
+        exo, cfg = Exosystem(S=[[0.0]], H=[[1.0]], w0=[0.0]), SimConfig(step=0.01, horizon=0.2,
+                                                                        record_stride=3)
+        for x0 in starts:
+            assert (_outcome(simulate_nonlinear, plant, exo, None, x0, cfg)
+                    == _outcome(simulate_nonlinear, _forced_call(plant), exo, None, x0, cfg))
 
 
 class TestBenchmarkPlant:
